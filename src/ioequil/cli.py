@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative balance tolerance for table validation")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling-based workflows; the analyses here are deterministic")
     common.add_argument("--out", type=Path, default=None,
                         help="write the report (or aggregated CSV) to this path")
 
@@ -100,7 +98,8 @@ def cmd_check(args) -> tuple[Report, int]:
     tech = table.technology
     failures: list[str] = []
 
-    productive = is_productive(tech)
+    rho = spectral_radius(tech.a)
+    productive = is_productive(tech, rho=rho)
     if not productive:
         failures.append("technology is not productive (spectral radius >= 1)")
     indecomposable = is_indecomposable(tech)
@@ -120,7 +119,7 @@ def cmd_check(args) -> tuple[Report, int]:
     results = {
         "productive": productive,
         "indecomposable": indecomposable,
-        "spectral_radius": spectral_radius(tech.a),
+        "spectral_radius": rho,
         "row_balance_gap": row_gap,
         "column_balance_gap": col_gap,
         "pass": not failures,

@@ -5,6 +5,12 @@ support graph, the spectral-radius productivity test, membership of a vector
 in the interior of a simplicial cone via a biorthogonal system, and the
 complete family of strictly positive solutions of ``C y = psi`` when ``psi``
 lies inside the cone spanned by the columns of ``C``.
+
+Linear-algebra policy: library factorizations, not hand-written loops.
+Rank decisions count the pivots of a column-pivoted QR (Businger & Golub)
+above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
+is a single strong component of the support digraph (Tarjan, via
+``scipy.sparse.csgraph``).
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import linalg
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeneratorsError,
@@ -89,60 +97,35 @@ class ConeMembership:
 
 
 def matrix_rank(m, rtol: float = PIVOT_RTOL) -> int:
-    """Rank by Gauss-Jordan elimination with partial pivoting.
+    """Rank from a column-pivoted QR factorization (LAPACK ``geqp3``).
 
-    Pivots are accepted when they exceed ``rtol`` times the largest
-    absolute entry of the original matrix, which keeps the decision
-    deterministic and dimension-free.
+    Counts the diagonal entries of R that exceed ``rtol`` times the largest
+    absolute entry of the matrix, which keeps the decision deterministic
+    and dimension-free.
     """
-    a = _matrix(m).copy()
+    a = _matrix(m)
     if a.size == 0:
         return 0
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return 0
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[piv, col]) <= rtol * scale:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        for r in range(rows):
-            if r != rank and a[r, col] != 0.0:
-                a[r] -= a[r, col] * a[rank]
-        rank += 1
-    return rank
+    r, _ = linalg.qr(a, mode="r", pivoting=True)
+    return int(np.count_nonzero(np.abs(np.diag(r)) > rtol * scale))
 
 
 def is_indecomposable(t: Technology | np.ndarray) -> bool:
     """True iff the support digraph of the matrix is strongly connected.
 
-    A 1x1 matrix counts as indecomposable only if its entry is positive
-    (the node needs a self-loop for the Perron machinery downstream).
+    The strong components come from Tarjan's algorithm in
+    ``scipy.sparse.csgraph``. A 1x1 matrix counts as indecomposable only if
+    its entry is positive (the node needs a self-loop for the Perron
+    machinery downstream).
     """
     a = t.a if isinstance(t, Technology) else _matrix(t)
-    n = a.shape[0]
-    if n == 1:
+    if a.shape[0] == 1:
         return bool(a[0, 0] > 0.0)
-    support = a > 0.0
-
-    def reaches_all(adj: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        return bool(seen.all())
-
-    return reaches_all(support) and reaches_all(support.T)
+    count, _ = connected_components(a > 0.0, directed=True, connection="strong")
+    return count == 1
 
 
 def spectral_radius(a, rtol: float = POWER_RTOL, max_iter: int = POWER_MAXITER) -> float:
@@ -171,14 +154,16 @@ def spectral_radius(a, rtol: float = POWER_RTOL, max_iter: int = POWER_MAXITER) 
     return lam - 1.0
 
 
-def is_productive(t: Technology) -> bool:
+def is_productive(t: Technology, *, rho: float | None = None) -> bool:
     """True iff the spectral radius of the direct-cost matrix is below one.
 
     The power-iteration verdict is cross-checked by solving
     ``(E - A) x = 1`` and testing ``x > 0``; a disagreement near the
-    boundary is resolved conservatively as not productive.
+    boundary is resolved conservatively as not productive. A caller that
+    already holds ``spectral_radius(t.a)`` passes it as ``rho``.
     """
-    rho = spectral_radius(t.a)
+    if rho is None:
+        rho = spectral_radius(t.a)
     if rho >= 1.0 - POSITIVE_TOL:
         return False
     n = t.n

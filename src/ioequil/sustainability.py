@@ -38,7 +38,7 @@ class SustainabilityVerdict:
     margins: np.ndarray | None
 
 
-def _solve_intermediate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _solve_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
     """Solve A b1 = x, regularizing a singular matrix through (A + eps E).
 
     The perturbed solutions drift linearly in eps, so the limit is taken by
@@ -47,7 +47,7 @@ def _solve_intermediate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     side outside the column space blows up like 1/eps and never stabilizes.
     """
     n = a.shape[0]
-    if matrix_rank(a) == n:
+    if rank == n:
         return np.linalg.solve(a, x)
     previous = None
     previous_extrapolant = None
@@ -125,9 +125,9 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     if not is_indecomposable(t):
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
-    b1 = _solve_intermediate(t.a, x)
-    singular = matrix_rank(t.a) < t.n
-    if singular and not _is_positive_certificate(t.a, b1):
+    rank = matrix_rank(t.a)
+    b1 = _solve_intermediate(t.a, x, rank)
+    if rank < t.n and not _is_positive_certificate(t.a, b1):
         repaired = _positive_repair(t.a, b1)
         if repaired is not None:
             b1 = repaired

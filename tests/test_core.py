@@ -58,6 +58,33 @@ class TestMatrixRank:
     def test_zero(self):
         assert matrix_rank(np.zeros((3, 3))) == 0
 
+    def test_exact_low_rank_product_not_overcounted(self):
+        # rank-5 product whose sixth singular value is 3e-16 of max|a|;
+        # row-pivoted elimination leaves a sixth pivot above
+        # PIVOT_RTOL * max|a| here; column-pivoted QR does not
+        rng = np.random.default_rng(107)
+        u = rng.uniform(0.0, 1.0, (12, 5))
+        v = rng.uniform(0.0, 1.0, (5, 12))
+        v[rng.uniform(size=v.shape) >= 0.3] = 0.0
+        a = u @ v
+        assert np.linalg.matrix_rank(a) == 5
+        assert matrix_rank(a) == 5
+
+    def test_matches_svd_oracle_on_low_rank_products(self):
+        rng = np.random.default_rng(1)
+        for trial in range(800):
+            n = int(rng.integers(2, 61))
+            k = int(rng.integers(1, n + 1))
+            u = rng.uniform(0.0, 1.0, (n, k))
+            v = rng.uniform(0.0, 1.0, (k, n))
+            sparse = int(rng.integers(0, 3))   # 0: dense, 1: sparse u, 2: sparse v
+            if sparse == 1:
+                u[rng.uniform(size=u.shape) >= 0.3] = 0.0
+            elif sparse == 2:
+                v[rng.uniform(size=v.shape) >= 0.3] = 0.0
+            a = u @ v
+            assert matrix_rank(a) == np.linalg.matrix_rank(a), (trial, n, k, sparse)
+
 
 class TestIndecomposable:
     def test_all_positive(self):
@@ -82,6 +109,21 @@ class TestIndecomposable:
             a = rng.uniform(0.0, 1.0, (n, n))
             a[rng.uniform(size=(n, n)) < 0.6] = 0.0
             assert is_indecomposable(Technology(a)) == indecomposable_oracle(a)
+
+    def test_sparse_matches_matrix_power_oracle(self, rng):
+        verdicts = set()
+        for _ in range(120):
+            n = int(rng.integers(2, 61))
+            density = float(rng.uniform(0.1, 0.3))
+            if rng.uniform() < 0.5:
+                a = random_indecomposable(rng, n, density=density)
+            else:
+                a = rng.uniform(0.05, 1.0, (n, n))
+                a[rng.uniform(size=(n, n)) >= density] = 0.0
+            expected = indecomposable_oracle(a)
+            assert is_indecomposable(a) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestProductive:

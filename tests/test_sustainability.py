@@ -98,6 +98,25 @@ class TestCheckSustainable:
             check_sustainable(t, np.array([1.0, 2.0, 3.0, 4.0]))
 
 
+class TestRankCalls:
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_rank_computed_once(self, rng, monkeypatch, singular):
+        from ioequil import sustainability
+
+        calls = []
+        original = sustainability.matrix_rank
+
+        def counted(m, *args, **kwargs):
+            calls.append(1)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(sustainability, "matrix_rank", counted)
+        t = make_singular_productive(rng, 5) if singular else random_productive(rng, 5)
+        x = t.a @ np.linalg.solve(np.eye(5) - t.a, rng.uniform(0.5, 1.5, 5))
+        check_sustainable(t, x)
+        assert len(calls) == 1
+
+
 class TestClearingResidual:
     def test_zero_at_constructed_prices(self):
         verdict = check_sustainable(SYM, [1.0, 1.0])
