@@ -15,6 +15,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .core import (
+    FIXED_POINT_MAXITER,
+    FIXED_POINT_TOL,
     Technology,
     _matrix,
     _vector,
@@ -31,8 +33,6 @@ from .errors import (
     ZeroImageError,
 )
 
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAXITER = 10 ** 6
 BALANCE_RESIDUAL_TOL = 1e-10
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 
@@ -48,7 +48,11 @@ def balanced_eigenvector(b1) -> np.ndarray:
     Row-normalizing ``b1`` turns the system into a stochastic fixed point,
     solved by iterating the averaged map ``d <- (d + E^T d)/2`` (the identity
     average makes the map primitive, so plain iteration converges even for
-    periodic support patterns).
+    periodic support patterns). The averaged map is column-stochastic and
+    keeps ``sum d = 1`` by itself, so this loop skips the per-step
+    normalization of ``core.simplex_fixed_point``, which would only slow
+    it down; it shares that loop's ``FIXED_POINT_TOL`` and
+    ``FIXED_POINT_MAXITER``.
 
     For a decomposable matrix the solution is not unique; the uniform vector
     is returned as the canonical representative when it solves the system,

@@ -93,8 +93,7 @@ def _load(args) -> real_economy.IOTable:
 
 
 def cmd_check(args) -> tuple[Report, int]:
-    text = Path(args.table).read_text(encoding="utf-8")
-    table = real_economy.loads_table(text, balance_tol=float("inf"))
+    table = real_economy.load_table(args.table, balance_tol=float("inf"))
     tech = table.technology
     failures: list[str] = []
 
@@ -105,12 +104,9 @@ def cmd_check(args) -> tuple[Report, int]:
     indecomposable = is_indecomposable(tech)
     if not indecomposable:
         failures.append("technology is decomposable (support graph not strongly connected)")
-    row_gap = float(np.max(np.abs(
-        table.big_x - table.z.sum(axis=1) - (table.consumption + table.exports - table.imports)
-    ) / np.maximum(1.0, np.abs(table.big_x))))
-    col_gap = float(np.max(np.abs(
-        table.z.sum(axis=0) - (table.big_x - table.delta)
-    ) / np.maximum(1.0, np.abs(table.big_x))))
+    scale = np.maximum(1.0, np.abs(table.big_x))
+    row_gap, col_gap = (float(np.max(np.abs(gap) / scale))
+                        for gap in real_economy.balance_gaps(table))
     if row_gap > args.tol:
         failures.append(f"row balance off by relative {row_gap:.6g}")
     if col_gap > args.tol:

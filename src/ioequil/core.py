@@ -11,6 +11,15 @@ Rank decisions count the pivots of a column-pivoted QR (Businger & Golub)
 above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
 is a single strong component of the support digraph (Tarjan, via
 ``scipy.sparse.csgraph``).
+
+Fixed-point policy: one loop, ``simplex_fixed_point``, serves every Perron
+fixed point on the simplex (the spectral radius, equilibrium prices and
+the sustainable-mode certificate prices). It iterates
+``p <- (p + M p) / sum(p + M p)`` from the barycentre and stops once the
+normalizing total has settled to ``FIXED_POINT_TOL`` relative and no
+entry moves by ``FIXED_POINT_TOL``; at ``FIXED_POINT_MAXITER`` steps it
+raises ``NoConvergenceError`` (CLI exit 3) instead of returning the last
+iterate.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeneratorsError,
+    NoConvergenceError,
     NotInteriorError,
     NotProductiveError,
 )
@@ -33,8 +43,8 @@ from .errors import (
 PIVOT_RTOL = 1e-12        # relative pivot threshold for rank decisions
 POSITIVE_TOL = 1e-10      # strict positivity after max-norm normalization
 SPAN_TOL = 1e-9           # max-norm residual for span membership
-POWER_RTOL = 1e-12        # relative convergence of power iteration
-POWER_MAXITER = 10 ** 6
+FIXED_POINT_TOL = 1e-12   # settled total (relative) and step (max-norm) of a fixed point
+FIXED_POINT_MAXITER = 10 ** 6
 
 
 def _vector(x, name: str = "vector") -> np.ndarray:
@@ -128,30 +138,38 @@ def is_indecomposable(t: Technology | np.ndarray) -> bool:
     return count == 1
 
 
-def spectral_radius(a, rtol: float = POWER_RTOL, max_iter: int = POWER_MAXITER) -> float:
-    """Largest eigenvalue modulus of a non-negative matrix by power iteration.
+def simplex_fixed_point(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Perron vector of a non-negative matrix on the simplex, with its multiplier.
 
-    Iterates on ``A + E`` so the dominant eigenvalue is simple-signed and
-    periodic support patterns (which make plain power iteration cycle) are
-    broken; the shift moves the radius by exactly one.
+    Iterates ``p <- (p + M p) / total`` with ``total = sum(p + M p)``; adding
+    the identity breaks the cycling of periodic support patterns and moves
+    the multiplier by exactly one. The settled ``total - 1`` estimates the
+    spectral radius of ``M`` and is returned beside ``p``. Raises
+    NoConvergenceError naming ``what`` when the iteration hits the cap.
     """
+    k = m.shape[0]
+    p = np.full(k, 1.0 / k)
+    previous = 1.0
+    for _ in range(FIXED_POINT_MAXITER):
+        q = p + m @ p
+        total = float(q.sum())
+        q /= total
+        # the scalar test runs first: it is cheaper and usually fails
+        settled = abs(total - previous) <= FIXED_POINT_TOL * total
+        if settled and np.max(np.abs(q - p)) < FIXED_POINT_TOL:
+            return q, total - 1.0
+        p, previous = q, total
+    raise NoConvergenceError(f"{what} iteration hit the cap")
+
+
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus of a non-negative matrix by power iteration."""
     a = _matrix(a)
     if np.any(a < 0):
         raise ValueError("spectral_radius expects a non-negative matrix")
-    n = a.shape[0]
     if not np.any(a):
         return 0.0
-    shifted = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    lam = 1.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        lam_new = float(np.sum(y))
-        y /= lam_new
-        if abs(lam_new - lam) <= rtol * abs(lam_new) and np.max(np.abs(y - x)) <= rtol:
-            return lam_new - 1.0
-        x, lam = y, lam_new
-    return lam - 1.0
+    return simplex_fixed_point(a, "spectral radius")[1]
 
 
 def is_productive(t: Technology, *, rho: float | None = None) -> bool:

@@ -17,23 +17,22 @@ from .core import (
     Technology,
     _vector,
     is_indecomposable,
+    simplex_fixed_point,
 )
 from .errors import (
     DecomposableError,
     DecomposableMinorError,
     HypothesisViolatedError,
     ModelError,
-    NoConvergenceError,
     PipelineError,
     ZeroColumnError,
     ZeroValueError,
 )
+from .sustainability import clearing_residual
 
 BINDING_TOL = 1e-8          # |b_i - (A z)_i| <= BINDING_TOL * max(1, b_i)
 CLEARING_TOL = 1e-8
 MULTIPLIER_TOL = 1e-10
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAXITER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -140,17 +139,31 @@ def binding_rows(t: Technology, b, z, tol: float = BINDING_TOL) -> tuple[int, ..
     return tuple(int(i) for i in np.flatnonzero(np.abs(b - image) <= tol * np.maximum(1.0, np.abs(b))))
 
 
-def _simplex_power_iteration(m: np.ndarray) -> np.ndarray:
-    """Fixed point of p -> (p + M p) / sum(p + M p) on the simplex."""
-    k = m.shape[0]
-    p = np.full(k, 1.0 / k)
-    for _ in range(FIXED_POINT_MAXITER):
-        q = p + m @ p
-        q /= q.sum()
-        if np.max(np.abs(q - p)) < FIXED_POINT_TOL:
-            return q
-        p = q
-    raise NoConvergenceError("price fixed-point iteration hit the cap")
+def _support_violation(t: Technology, b: np.ndarray, z: np.ndarray,
+                       idx: list[int], rest: list[int]) -> str | None:
+    """Why z restricted to the binding set cannot carry support prices, or None.
+
+    The restriction must solve the binding equations on ``idx``, stay
+    strictly slack on ``rest`` and be strictly positive on ``idx``.
+    """
+    scale = np.maximum(1.0, np.abs(b))
+    z_masked = np.zeros(t.n)
+    z_masked[idx] = z[idx]
+    image = t.a @ z_masked
+    if np.any(np.abs(image[idx] - b[idx]) > BINDING_TOL * scale[idx]):
+        return "z does not solve the binding equations on the binding set"
+    if rest and np.any(image[rest] >= b[rest]):
+        return "z is not strictly slack outside the binding set"
+    if np.any(z[idx] <= POSITIVE_TOL * max(1.0, float(np.max(z)))):
+        return "z must be strictly positive on the binding set"
+    return None
+
+
+def _check_multiplier(multiplier: float) -> None:
+    if abs(multiplier - 1.0) > MULTIPLIER_TOL:
+        raise HypothesisViolatedError(
+            f"fixed-point multiplier {multiplier:.3e} differs from one beyond tolerance"
+        )
 
 
 def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
@@ -172,26 +185,13 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     minor = t.a[np.ix_(idx, idx)]
     if not is_indecomposable(minor):
         raise DecomposableMinorError("binding-set minor is decomposable")
-
-    scale = np.maximum(1.0, np.abs(b))
-    z_masked = np.zeros(t.n)
-    z_masked[idx] = z[idx]
-    image = t.a @ z_masked
-    if np.any(np.abs(image[idx] - b[idx]) > BINDING_TOL * scale[idx]):
-        raise HypothesisViolatedError("z does not solve the binding equations on the binding set")
-    if rest and np.any(image[rest] >= b[rest]):
-        raise HypothesisViolatedError("z is not strictly slack outside the binding set")
-    if np.any(z[idx] <= POSITIVE_TOL * max(1.0, float(np.max(z)))):
-        raise HypothesisViolatedError("z must be strictly positive on the binding set")
+    reason = _support_violation(t, b, z, idx, rest)
+    if reason is not None:
+        raise HypothesisViolatedError(reason)
 
     y = z[idx] / b[idx]
-    m = y[:, None] * minor.T
-    p_block = _simplex_power_iteration(m)
-    multiplier = float(np.sum(m @ p_block))
-    if abs(multiplier - 1.0) > MULTIPLIER_TOL:
-        raise HypothesisViolatedError(
-            f"fixed-point multiplier {multiplier:.3e} differs from one beyond tolerance"
-        )
+    p_block, multiplier = simplex_fixed_point(y[:, None] * minor.T, "price fixed-point")
+    _check_multiplier(multiplier)
     p = np.zeros(t.n)
     p[idx] = p_block
     return p
@@ -214,13 +214,8 @@ def prices_from_consumption(t: Technology, z) -> np.ndarray:
     if np.any(b_bar[supported] <= 0.0):
         raise HypothesisViolatedError("real consumption vanishes on a supported sector")
     weights = np.where(supported, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
-    m = weights[:, None] * t.a.T
-    p = _simplex_power_iteration(m)
-    multiplier = float(np.sum(m @ p))
-    if abs(multiplier - 1.0) > MULTIPLIER_TOL:
-        raise HypothesisViolatedError(
-            f"fixed-point multiplier {multiplier:.3e} differs from one beyond tolerance"
-        )
+    p, multiplier = simplex_fixed_point(weights[:, None] * t.a.T, "price fixed-point")
+    _check_multiplier(multiplier)
     # reconstruction and clearing checks
     denom = t.a.T @ p
     scale = max(1.0, float(np.max(np.abs(z))))
@@ -232,21 +227,10 @@ def prices_from_consumption(t: Technology, z) -> np.ndarray:
             raise HypothesisViolatedError("input cost vanishes on a supported sector")
     if recon_gap > CLEARING_TOL * scale:
         raise HypothesisViolatedError("price reconstruction of z failed beyond tolerance")
-    residual = clearing_residual_for(t, b_bar, p)
+    residual = clearing_residual(t, b_bar, p)
     if float(np.max(np.abs(residual))) > CLEARING_TOL * max(1.0, float(np.max(np.abs(b_bar)))):
         raise HypothesisViolatedError("consumption clearing equations fail at the fixed point")
     return p
-
-
-def clearing_residual_for(t: Technology, b_bar: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Residual of sum_i a_ki b_bar_i p_i / <A_i, p> - b_bar_k (zero-price rows drop out)."""
-    denom = t.a.T @ p
-    terms = np.zeros(t.n)
-    for i in range(t.n):
-        value = b_bar[i] * p[i]
-        if value != 0.0:
-            terms[i] = value / denom[i] if denom[i] > 0.0 else np.inf
-    return t.a @ terms - b_bar
 
 
 def no_equilibrium_certificate(t: Technology, b, z, binding, slack) -> bool:
@@ -287,20 +271,6 @@ def excess_supply(b, b_bar, p_u) -> float:
     return max(level, 0.0)
 
 
-def _support_compatible(t: Technology, b, z, idx: list[int], rest: list[int]) -> bool:
-    scale = np.maximum(1.0, np.abs(b))
-    z_masked = np.zeros(t.n)
-    z_masked[idx] = z[idx]
-    image = t.a @ z_masked
-    if np.any(np.abs(image[idx] - b[idx]) > BINDING_TOL * scale[idx]):
-        return False
-    if rest and np.any(image[rest] >= b[rest]):
-        return False
-    if np.any(z[idx] <= POSITIVE_TOL * max(1.0, float(np.max(z)))):
-        return False
-    return is_indecomposable(t.a[np.ix_(idx, idx)])
-
-
 def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
     """Minimum-excess equilibrium state for supply b.
 
@@ -322,7 +292,8 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
             "binding-set", HypothesisViolatedError("no binding rows at the program optimum")
         )
 
-    if _support_compatible(t, b, z0, idx, rest):
+    supported = _support_violation(t, b, z0, idx, rest) is None
+    if supported and is_indecomposable(t.a[np.ix_(idx, idx)]):
         z_used = np.zeros(t.n)
         z_used[idx] = z0[idx]
         try:

@@ -40,17 +40,14 @@ class QPResult:
     binding_rows: tuple[int, ...]
 
 
-def solve_min_excess(a: np.ndarray, b: np.ndarray,
-                     kkt_tol: float = KKT_TOL,
-                     max_iter: int | None = None) -> QPResult:
+def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the zero vertex.
 
-    Raises SolverStallError when the iteration cap is hit or a degenerate
-    working set cannot be improved.
+    Raises SolverStallError when the iteration cap of 100 (n + m + 2) is hit
+    or a degenerate working set cannot be improved.
     """
     n, mvar = a.shape
-    if max_iter is None:
-        max_iter = 100 * (n + mvar + 2)
+    max_iter = 100 * (n + mvar + 2)
     z = np.zeros(mvar)
     fixed: set[int] = set(range(mvar))   # active bounds z_i = 0
     rows: set[int] = set()               # active supply rows (A z)_k = b_k
@@ -79,12 +76,12 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray,
             for k in active_rows:
                 normals.append(-a[k, :])
             if not normals:
-                if np.linalg.norm(gradient) <= kkt_tol * scale:
+                if np.linalg.norm(gradient) <= KKT_TOL * scale:
                     break
                 raise SolverStallError("zero gradient expected with empty working set")
             normal_matrix = np.array(normals).T
             _, residual = nnls(normal_matrix, gradient)
-            if residual <= kkt_tol * max(1.0, float(np.linalg.norm(gradient))):
+            if residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
                 break
             multipliers, *_ = np.linalg.lstsq(normal_matrix, gradient, rcond=None)
             worst = int(np.argmin(multipliers))

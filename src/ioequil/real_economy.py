@@ -63,6 +63,17 @@ class IOTable:
         return Technology(self.a_bar, units="value")
 
 
+def balance_gaps(table: IOTable) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column accounting gaps per sector, in table units (unscaled).
+
+    Row: X - sum Z - (C + E - I); column: sum Z - (X - Delta).
+    """
+    net_final = table.consumption + table.exports - table.imports
+    row_gap = table.big_x - table.z.sum(axis=1) - net_final
+    col_gap = table.z.sum(axis=0) - (table.big_x - table.delta)
+    return row_gap, col_gap
+
+
 def validate_table(table: IOTable, balance_tol: float = DEFAULT_BALANCE_TOL) -> None:
     """Check positivity and both accounting identities; raise BalanceError."""
     if np.any(table.big_x <= 0.0):
@@ -72,15 +83,13 @@ def validate_table(table: IOTable, balance_tol: float = DEFAULT_BALANCE_TOL) -> 
         k, i = np.unravel_index(int(np.argmin(table.z)), table.z.shape)
         raise BalanceError(f"flow Z[{table.names[k]!r} -> {table.names[i]!r}] is negative")
     scale = np.maximum(1.0, np.abs(table.big_x))
-    net_final = table.consumption + table.exports - table.imports
-    row_gap = table.big_x - table.z.sum(axis=1) - net_final
+    row_gap, col_gap = balance_gaps(table)
     worst = int(np.argmax(np.abs(row_gap) / scale))
     if abs(row_gap[worst]) > balance_tol * scale[worst]:
         raise BalanceError(
             f"row balance fails for sector {table.names[worst]!r}: "
             f"X - sum Z - (C + E - I) = {row_gap[worst]:.6g}"
         )
-    col_gap = table.z.sum(axis=0) - (table.big_x - table.delta)
     worst = int(np.argmax(np.abs(col_gap) / scale))
     if abs(col_gap[worst]) > balance_tol * scale[worst]:
         raise BalanceError(

@@ -13,11 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import POSITIVE_TOL, Technology, _vector, is_indecomposable, is_productive, matrix_rank
+from .core import (
+    POSITIVE_TOL,
+    Technology,
+    _vector,
+    is_indecomposable,
+    is_productive,
+    matrix_rank,
+    simplex_fixed_point,
+)
 from .errors import (
     DecomposableError,
     HypothesisViolatedError,
-    NoConvergenceError,
     NotProductiveError,
     SingularUnresolvedError,
     ZeroDenominatorError,
@@ -25,8 +32,6 @@ from .errors import (
 
 REGULARIZATION_EPS = tuple(10.0 ** (-k) for k in range(4, 11))
 REGULARIZATION_STABLE_TOL = 1e-7
-PRICE_TOL = 1e-12
-PRICE_MAXITER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -156,20 +161,15 @@ def _certificate_prices(a: np.ndarray, b1: np.ndarray) -> np.ndarray:
     if np.any(image <= 0.0):
         raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
     ratio = b1 / image
-    m = ratio[:, None] * a.T
-    n = a.shape[0]
-    p = np.full(n, 1.0 / n)
-    for _ in range(PRICE_MAXITER):
-        q = p + m @ p
-        q /= q.sum()
-        if np.max(np.abs(q - p)) < PRICE_TOL:
-            return q
-        p = q
-    raise NoConvergenceError("certificate price iteration hit the cap")
+    return simplex_fixed_point(ratio[:, None] * a.T, "certificate price")[0]
 
 
 def clearing_residual(t: Technology, x, p) -> np.ndarray:
-    """Residual of sum_i a_ki x_i p_i / <A_i, p> = x_k at prices p."""
+    """Residual of sum_i a_ki x_i p_i / <A_i, p> = x_k at prices p.
+
+    Sectors with x_i p_i = 0 drop out of the sum; a vanishing input cost
+    under a nonzero term raises ZeroDenominatorError.
+    """
     x = _vector(x, "gross output")
     p = _vector(p, "price vector")
     if x.shape[0] != t.n or p.shape[0] != t.n:
@@ -177,11 +177,11 @@ def clearing_residual(t: Technology, x, p) -> np.ndarray:
     if np.any(p < 0.0) or not np.any(p > 0.0):
         raise ValueError("prices must be non-negative and nonzero")
     denom = t.a.T @ p
+    value = x * p
+    live = value != 0.0
+    vanishing = np.flatnonzero(live & (denom <= 0.0))
+    if vanishing.size:
+        raise ZeroDenominatorError(f"input cost of sector {vanishing[0]} vanishes at these prices")
     terms = np.zeros(t.n)
-    for i in range(t.n):
-        value = x[i] * p[i]
-        if value != 0.0:
-            if denom[i] <= 0.0:
-                raise ZeroDenominatorError(f"input cost of sector {i} vanishes at these prices")
-            terms[i] = value / denom[i]
+    terms[live] = value[live] / denom[live]
     return t.a @ terms - x

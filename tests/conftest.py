@@ -135,3 +135,63 @@ def simplex_grid(n: int, target_points: int) -> np.ndarray:
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
+
+
+# Reference copies of the two power-iteration loops that
+# core.simplex_fixed_point replaced: the price fixed point (equilibrium)
+# and the spectral radius on A + E (core). They pin the arithmetic of the
+# shared loop.
+
+def simplex_power_iteration_reference(m: np.ndarray) -> np.ndarray:
+    """Fixed point of p -> (p + M p) / sum(p + M p) on the simplex."""
+    k = m.shape[0]
+    p = np.full(k, 1.0 / k)
+    for _ in range(10 ** 6):
+        q = p + m @ p
+        q /= q.sum()
+        if np.max(np.abs(q - p)) < 1e-12:
+            return q
+        p = q
+    raise AssertionError("price fixed-point iteration hit the cap")
+
+
+def spectral_radius_reference(a: np.ndarray, rtol: float = 1e-12,
+                              max_iter: int = 10 ** 6) -> float:
+    n = a.shape[0]
+    if not np.any(a):
+        return 0.0
+    shifted = a + np.eye(n)
+    x = np.full(n, 1.0 / n)
+    lam = 1.0
+    for _ in range(max_iter):
+        y = shifted @ x
+        lam_new = float(np.sum(y))
+        y /= lam_new
+        if abs(lam_new - lam) <= rtol * abs(lam_new) and np.max(np.abs(y - x)) <= rtol:
+            return lam_new - 1.0
+        x, lam = y, lam_new
+    return lam - 1.0
+
+
+def two_block(rng: np.random.Generator, n: int, k: int, coupling: float) -> np.ndarray:
+    """Dense n x n matrix in two diagonal blocks (k and n - k sectors).
+
+    Every column sends exactly ``coupling`` of its sum into the other
+    block; column sums lie in [0.35, 0.5] on the first block and
+    [0.6, 0.75] on the second, so the block spectral radii stay apart.
+    """
+    a = rng.uniform(0.05, 1.0, (n, n))
+    first = np.arange(n) < k
+    sums = np.where(first, rng.uniform(0.35, 0.5, n), rng.uniform(0.6, 0.75, n))
+    for j in range(n):
+        own = first == first[j]
+        a[own, j] *= (1.0 - coupling) * sums[j] / a[own, j].sum()
+        a[~own, j] *= coupling * sums[j] / a[~own, j].sum()
+    return a
+
+
+def price_map(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The map diag(z / A z) A^T of prices_from_consumption (zero rows where z = 0)."""
+    b_bar = a @ z
+    weights = np.where(z > 0.0, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
+    return weights[:, None] * a.T

@@ -121,6 +121,33 @@ class TestCheck:
         assert len(calls) == 1
         assert doc["results"]["spectral_radius"] == pytest.approx(0.5)
 
+    def test_spectral_radius_cap_exits_three(self, capsys, toy2, monkeypatch):
+        # toy2 settles on the second step (its Perron vector is the starting
+        # barycentre), so a cap of one step is the one that bites here
+        from ioequil import core
+
+        monkeypatch.setattr(core, "FIXED_POINT_MAXITER", 1)
+        assert main(["check", str(toy2), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral radius iteration hit the cap" in captured.err
+
+    def test_row_imbalance_reported_not_raised(self, capsys, tmp_path):
+        path = tmp_path / "imbalanced.csv"
+        path.write_text(
+            "sector,a,b,C,E,I,X\n"
+            "a,0.2,0.3,0.51,0,0,1\n"
+            "b,0.3,0.2,0.5,0,0,1\n"
+            "T1,0.25,0.25\nZ1,0.25,0.25\n"
+        )
+        code, doc = run_json(capsys, ["check", str(path), "--format", "json"])
+        assert code == 1
+        assert doc["results"]["row_balance_gap"] == pytest.approx(0.01)
+        assert doc["results"]["column_balance_gap"] == pytest.approx(0.0, abs=1e-15)
+        assert doc["results"]["pass"] is False
+        assert any(d.startswith("row balance off by relative 0.01") for d in doc["diagnostics"])
+        assert not any("column balance" in d for d in doc["diagnostics"])
+
 
 class TestSustainable:
     def test_toy_verdict_with_certificate(self, capsys, toy2):

@@ -11,18 +11,24 @@ from ioequil import (
     positive_solution_family,
     spectral_radius,
 )
-from ioequil.core import matrix_rank
+from ioequil import core
+from ioequil.core import matrix_rank, simplex_fixed_point
 from ioequil.errors import (
     DegenerateGeneratorsError,
+    NoConvergenceError,
     NotInteriorError,
     NotProductiveError,
 )
 
 from conftest import (
     indecomposable_oracle,
+    price_map,
     random_indecomposable,
     random_productive,
+    simplex_power_iteration_reference,
     spectral_radius_oracle,
+    spectral_radius_reference,
+    two_block,
 )
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
@@ -153,6 +159,61 @@ class TestProductive:
             if expected:
                 x = np.linalg.solve(np.eye(n) - a, np.ones(n))
                 assert np.all(x > 0.0)
+
+
+def _fixed_point_cases():
+    """(name, technology, price map) on the shapes the shared loop serves."""
+    rng = np.random.default_rng(41)
+    block = two_block(rng, 40, 16, 1e-3)
+    z = rng.uniform(0.5, 1.5, 40)
+    z_tail = z.copy()
+    z_tail[rng.choice(40, 8, replace=False)] = 0.0    # zero rows: subnormal price tail
+    sparse = random_indecomposable(rng, 60, density=0.3)
+    sparse *= 0.6 / spectral_radius_oracle(sparse)
+    cycle = 0.5 * np.roll(np.eye(5), 1, axis=0)        # periodic support
+    return [
+        ("two-block", block, price_map(block, z)),
+        ("two-block-zero-rows", block, price_map(block, z_tail)),
+        ("sparse-60", sparse, price_map(sparse, rng.uniform(0.5, 1.5, 60))),
+        ("cycle-5", cycle, price_map(cycle, rng.uniform(0.5, 1.5, 5))),
+    ]
+
+
+FIXED_POINT_CASES = _fixed_point_cases()
+
+
+class TestSimplexFixedPoint:
+    @pytest.mark.parametrize("name, a, m", FIXED_POINT_CASES,
+                             ids=[case[0] for case in FIXED_POINT_CASES])
+    def test_matches_reference_loops(self, name, a, m):
+        p, multiplier = simplex_fixed_point(m, "price fixed-point")
+        assert np.array_equal(p, simplex_power_iteration_reference(m))
+        assert abs(multiplier - 1.0) <= 1e-10
+        # x + A x and (A + E) x round differently: ρ agrees with the loop on
+        # A + E to two units in the last place of 1 + ρ
+        rho = spectral_radius(a)
+        reference = spectral_radius_reference(a)
+        assert abs(rho - reference) <= 2.0 * np.spacing(1.0 + reference)
+        assert rho == pytest.approx(spectral_radius_oracle(a), abs=1e-9)
+
+    def test_zero_rows_leave_a_subnormal_tail(self):
+        _, _, m = FIXED_POINT_CASES[1]
+        p, _ = simplex_fixed_point(m, "price fixed-point")
+        assert 0.0 < np.min(p) < np.finfo(float).tiny
+
+    def test_multiplier_is_the_spectral_radius(self, rng):
+        for _ in range(20):
+            m = random_indecomposable(rng, int(rng.integers(1, 12)), density=0.5)
+            _, multiplier = simplex_fixed_point(m, "test")
+            assert multiplier == pytest.approx(spectral_radius_oracle(m), rel=1e-9)
+
+    def test_cap_raises_instead_of_returning_the_last_iterate(self, monkeypatch):
+        _, a, m = FIXED_POINT_CASES[0]
+        monkeypatch.setattr(core, "FIXED_POINT_MAXITER", 3)
+        with pytest.raises(NoConvergenceError, match="spectral radius iteration hit the cap"):
+            spectral_radius(a)
+        with pytest.raises(NoConvergenceError, match="certificate price iteration hit the cap"):
+            simplex_fixed_point(m, "certificate price")
 
 
 class TestLeontief:

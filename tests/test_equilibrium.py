@@ -177,6 +177,15 @@ class TestPricesOnSupport:
         p = prices_on_support(t, b, z, [0])
         assert np.allclose(p, [1.0, 0.0])
 
+    @pytest.mark.parametrize("a, b, z, binding, reason", [
+        ([[0.2, 0.3], [0.3, 0.2]], [1.0, 1.0], [1.0, 1.0], [0, 1], "binding equations"),
+        ([[0.5, 0.1], [0.4, 0.3]], [1.0, 0.8], [2.0, 0.0], [0], "strictly slack"),
+        ([[0.5, 0.1], [0.4, 0.3]], [1.0, 0.8], [2.0, 0.0], [0, 1], "strictly positive"),
+    ], ids=["not-binding", "not-slack", "not-positive"])
+    def test_support_hypotheses_named(self, a, b, z, binding, reason):
+        with pytest.raises(HypothesisViolatedError, match=reason):
+            prices_on_support(Technology(a), b, z, binding)
+
     def test_decomposable_minor_rejected(self):
         t = Technology([[0.0, 0.4], [0.4, 0.0]])
         b = np.array([0.4, 1.0])

@@ -12,7 +12,7 @@ from ioequil import (
     value_added_tax,
 )
 from ioequil.errors import BalanceError, ParseError
-from ioequil.real_economy import IOTable
+from ioequil.real_economy import IOTable, balance_gaps
 
 from conftest import data_path
 
@@ -85,6 +85,20 @@ class TestLoader:
         with pytest.raises(BalanceError) as err:
             loads_table(text)
         assert "'a'" in str(err.value)
+
+    def test_balance_gaps_are_signed_and_unscaled(self):
+        text = (
+            "sector,a,b,C,E,I,X\n"
+            "a,0.2,0.3,0.51,0,0,1\n"
+            "b,0.3,0.2,0.5,0,0,1\n"
+            "T1,0.25,0.25\nZ1,0.25,0.25\n"
+        )
+        table = loads_table(text, balance_tol=float("inf"))
+        row_gap, col_gap = balance_gaps(table)
+        assert np.allclose(row_gap, [-0.01, 0.0], atol=1e-15)
+        assert np.allclose(col_gap, [0.0, 0.0], atol=1e-15)
+        with pytest.raises(BalanceError, match="= -0.01$"):
+            loads_table(text)
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):

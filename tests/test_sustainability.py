@@ -133,5 +133,27 @@ class TestClearingResidual:
 
     def test_zero_denominator(self):
         t = Technology([[0.0, 0.5], [0.0, 0.5]])
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(ZeroDenominatorError, match="sector 0"):
             clearing_residual(t, [1.0, 1.0], [1.0, 0.0])
+
+    def test_zero_terms_drop_out(self, rng):
+        # per-sector loop as the reference; zero prices and zero outputs are
+        # skipped, so their vanishing input costs do not raise
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            a = rng.uniform(0.05, 1.0, (n, n))
+            a[rng.uniform(size=(n, n)) >= 0.5] = 0.0
+            x = rng.uniform(0.5, 1.5, n) * (rng.uniform(size=n) >= 0.2)
+            p = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) >= 0.2)
+            p[0] = max(p[0], 0.1)
+            denom = a.T @ p
+            live = x * p != 0.0
+            if np.any(live & (denom <= 0.0)):
+                with pytest.raises(ZeroDenominatorError):
+                    clearing_residual(Technology(a), x, p)
+                continue
+            terms = np.zeros(n)
+            for i in range(n):
+                if live[i]:
+                    terms[i] = x[i] * p[i] / denom[i]
+            assert np.array_equal(clearing_residual(Technology(a), x, p), a @ terms - x)
