@@ -2,15 +2,18 @@
 
 Everything downstream builds on four primitives: strong connectivity of the
 support graph, the spectral-radius productivity test, membership of a vector
-in the interior of a simplicial cone via a biorthogonal system, and the
-complete family of strictly positive solutions of ``C y = psi`` when ``psi``
-lies inside the cone spanned by the columns of ``C``.
+in the interior of a simplicial cone, and the complete family of strictly
+positive solutions of ``C y = psi`` when ``psi`` lies inside the cone
+spanned by the columns of ``C``.
 
 Linear-algebra policy: library factorizations, not hand-written loops.
 Rank decisions count the pivots of a column-pivoted QR (Businger & Golub)
 above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
 is a single strong component of the support digraph (Tarjan, via
-``scipy.sparse.csgraph``).
+``scipy.sparse.csgraph``). The coordinates of a vector in a set of
+independent columns come from one least-squares solve
+(``np.linalg.lstsq``); the columns first pass the full-column-rank check,
+and a separate max-norm residual test decides span membership.
 
 Fixed-point policy: one loop, ``simplex_fixed_point``, serves every Perron
 fixed point on the simplex (the spectral radius, equilibrium prices and
@@ -204,40 +207,6 @@ def leontief_solve(t: Technology, c) -> np.ndarray:
     return np.linalg.solve(np.eye(t.n) - t.a, c)
 
 
-def _complete_to_basis(g: np.ndarray) -> np.ndarray:
-    """Extend linearly independent columns of ``g`` to an n x n basis.
-
-    Standard basis vectors are appended greedily in index order, which
-    keeps the completion (and hence the biorthogonal system) deterministic.
-    """
-    n, m = g.shape
-    cols = [g[:, j] for j in range(m)]
-    rank = matrix_rank(g)
-    for j in range(n):
-        if rank == n:
-            break
-        e = np.zeros(n)
-        e[j] = 1.0
-        candidate = np.column_stack(cols + [e])
-        r = matrix_rank(candidate)
-        if r > rank:
-            cols.append(e)
-            rank = r
-    if rank < n:
-        raise DegenerateGeneratorsError("could not complete generators to a basis")
-    return np.column_stack(cols)
-
-
-def biorthogonal_system(g: np.ndarray) -> np.ndarray:
-    """Vectors f_i with <f_i, g_j> = delta_ij for the completed basis of g.
-
-    Column ``i`` of the result pairs to one against column ``i`` of the
-    completion and to zero against every other column.
-    """
-    basis = _complete_to_basis(g)
-    return np.linalg.inv(basis).T
-
-
 def cone_membership(generators, b) -> ConeMembership:
     """Locate ``b`` relative to the cone spanned by independent generators.
 
@@ -248,10 +217,11 @@ def cone_membership(generators, b) -> ConeMembership:
 
     Returns
     -------
-    ConeMembership with status INTERIOR (all biorthogonal products strictly
-    positive and ``b`` inside the span), BOUNDARY (non-negative products with
-    at least one zero), or OUTSIDE. Coefficients are the biorthogonal
-    products ``<f_i, b>`` for i <= m whenever status is not OUTSIDE.
+    ConeMembership with status INTERIOR (all coordinates of ``b`` in the
+    generators strictly positive and ``b`` inside the span), BOUNDARY
+    (non-negative coordinates with at least one zero), or OUTSIDE.
+    Coefficients are those coordinates, from one least-squares solve,
+    whenever status is not OUTSIDE.
     """
     if isinstance(generators, np.ndarray) and generators.ndim == 2:
         g = _matrix(generators).copy()
@@ -267,12 +237,9 @@ def cone_membership(generators, b) -> ConeMembership:
     if matrix_rank(g) < m:
         raise DegenerateGeneratorsError(f"generators are linearly dependent (rank < {m})")
 
-    f = biorthogonal_system(g)
-    products = f.T @ b
+    head = np.linalg.lstsq(g, b, rcond=None)[0]
     scale = max(1.0, float(np.max(np.abs(b))))
-    head = products[:m]
-    reconstruction = g @ head
-    in_span = float(np.max(np.abs(b - reconstruction))) <= SPAN_TOL * scale
+    in_span = float(np.max(np.abs(b - g @ head))) <= SPAN_TOL * scale
 
     if not in_span or np.any(head < -POSITIVE_TOL * scale):
         return ConeMembership(ConeStatus.OUTSIDE, None)
@@ -371,7 +338,8 @@ def positive_solution_family(c, psi) -> SolutionFamily:
     Scans subsets of linearly independent columns in lexicographic index
     order and keeps the first whose cone contains ``psi`` strictly; the
     basis solutions and the admissible-coefficient constraints are then
-    written down explicitly from the biorthogonal products.
+    written down explicitly from the coordinates of ``psi`` and of every
+    free column in the chosen subset.
 
     Raises NotInteriorError when no subset admits ``psi``.
     """
@@ -390,22 +358,22 @@ def positive_solution_family(c, psi) -> SolutionFamily:
         g = c[:, subset]
         if matrix_rank(g) < r:
             continue
-        f = biorthogonal_system(g)
-        products = f.T @ psi
-        head = products[:r]
+        head = np.linalg.lstsq(g, psi, rcond=None)[0]
         if np.any(head <= POSITIVE_TOL * scale):
             continue
         if float(np.max(np.abs(psi - g @ head))) > SPAN_TOL * scale:
             continue
-        chosen = (subset, f, head)
+        chosen = (subset, g, head)
         break
     if chosen is None:
         raise NotInteriorError(
             "target vector is not interior to the cone of any independent column subset"
         )
 
-    subset, f, psi_products = chosen
+    subset, g, psi_products = chosen
     free = tuple(j for j in range(l) if j not in subset)
+    # every column of C lies in the span of the rank-r subset: exact coordinates
+    free_products = np.linalg.lstsq(g, c[:, free], rcond=None)[0]
 
     z_base = np.zeros(l)
     z_base[list(subset)] = psi_products
@@ -413,7 +381,7 @@ def positive_solution_family(c, psi) -> SolutionFamily:
 
     w = np.zeros((r, len(free)))
     for pos, j in enumerate(free):
-        col_products = (f.T @ c[:, j])[:r]
+        col_products = free_products[:, pos]
         positive = col_products > 0.0
         if np.any(positive):
             y_star = float(np.min(psi_products[positive] / col_products[positive]))

@@ -112,7 +112,7 @@ class SolverStallError(NumericalError):
 
 
 class SingularUnresolvedError(NumericalError):
-    """Regularized solves of a singular system did not stabilize."""
+    """A singular system has no solution within the residual tolerance."""
 
 
 class DegenerateQuadraticFormError(NumericalError):

@@ -76,12 +76,13 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
             for k in active_rows:
                 normals.append(-a[k, :])
             if not normals:
-                if np.linalg.norm(gradient) <= KKT_TOL * scale:
+                kkt_residual = float(np.linalg.norm(gradient))
+                if kkt_residual <= KKT_TOL * scale:
                     break
                 raise SolverStallError("zero gradient expected with empty working set")
             normal_matrix = np.array(normals).T
-            _, residual = nnls(normal_matrix, gradient)
-            if residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
+            _, kkt_residual = nnls(normal_matrix, gradient)
+            if kkt_residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
                 break
             multipliers, *_ = np.linalg.lstsq(normal_matrix, gradient, rcond=None)
             worst = int(np.argmin(multipliers))
@@ -123,13 +124,6 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
     else:
         raise SolverStallError(f"active-set iteration cap {max_iter} reached")
 
-    gradient = 2.0 * a.T @ (a @ z - b)
-    normals = [np.eye(mvar)[:, i] for i in sorted(fixed)]
-    normals += [-a[k, :] for k in sorted(rows)]
-    if normals:
-        _, kkt_residual = nnls(np.array(normals).T, gradient)
-    else:
-        kkt_residual = float(np.linalg.norm(gradient))
     objective = float(np.sum((b - a @ z) ** 2))
     return QPResult(
         z=z,

@@ -247,7 +247,7 @@ def analyze(table: IOTable, p_hat=None) -> RealEconomyReport:
     else:
         state = assemble_equilibrium(tech, psi)
 
-    bounds = tax_bounds(pi0, delta / table.big_x, t_value=table.technology)
+    bounds = tax_bounds(pi0, delta / table.big_x)
     return RealEconomyReport(
         pi0=pi0,
         sustainable_at_unit_prices=sustainable,

@@ -30,9 +30,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 
-REGULARIZATION_EPS = tuple(10.0 ** (-k) for k in range(4, 11))
-REGULARIZATION_STABLE_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class SustainabilityVerdict:
@@ -43,55 +40,22 @@ class SustainabilityVerdict:
     margins: np.ndarray | None
 
 
-def _solve_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
-    """Solve A b1 = x, regularizing a singular matrix through (A + eps E).
+def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
+    """Solve A b1 = x for a singular A from one SVD sliced at ``rank``.
 
-    The perturbed solutions drift linearly in eps, so the limit is taken by
-    Richardson extrapolation over consecutive schedule points (ratio ten);
-    the extrapolants must agree to the stabilization tolerance. A right-hand
-    side outside the column space blows up like 1/eps and never stabilizes.
-    """
-    n = a.shape[0]
-    if rank == n:
-        return np.linalg.solve(a, x)
-    previous = None
-    previous_extrapolant = None
-    for eps in REGULARIZATION_EPS:
-        try:
-            candidate = np.linalg.solve(a + eps * np.eye(n), x)
-        except np.linalg.LinAlgError:
-            continue
-        if previous is not None:
-            extrapolant = (10.0 * candidate - previous) / 9.0
-            if previous_extrapolant is not None:
-                gap = float(np.max(np.abs(extrapolant - previous_extrapolant)))
-                scale = max(1.0, float(np.max(np.abs(previous_extrapolant))))
-                if gap < REGULARIZATION_STABLE_TOL * scale:
-                    return extrapolant
-            previous_extrapolant = extrapolant
-        previous = candidate
-    # near-defective kernels stall the schedule; fall back to the minimum-norm
-    # solution, still restricted to right-hand sides inside the column space
-    solution, *_ = np.linalg.lstsq(a, x, rcond=1e-12)
-    if float(np.max(np.abs(a @ solution - x))) <= 1e-8 * max(1.0, float(np.max(np.abs(x)))):
-        return solution
-    raise SingularUnresolvedError("regularized solves of the singular system did not stabilize")
-
-
-def _positive_repair(a: np.ndarray, b1: np.ndarray) -> np.ndarray | None:
-    """Search b1 + ker(A) for a point with b1 > 0 and (E - A) b1 > 0.
-
-    A singular matrix leaves the intermediate vector determined only up to
-    the kernel; the regularized limit may sit outside the positive region
-    even when the region is non-empty, so feasibility is decided by a small
-    linear program maximizing the worst margin.
+    The minimum-norm solution is returned when it is already a positive
+    certificate. Otherwise b1 is determined only up to ker(A), so a small
+    linear program moves it along the kernel to maximize the worst of the
+    margins b1 > 0 and (E - A) b1 > 0; the caller re-checks the result.
     """
     n = a.shape[0]
     u, s, vh = np.linalg.svd(a)
-    tol = max(a.shape) * (s[0] if s.size else 0.0) * 1e-12
-    kernel = vh[int(np.sum(s > tol)):].T
-    if kernel.shape[1] == 0:
-        return None
+    b1 = vh[:rank].T @ ((u[:, :rank].T @ x) / s[:rank])
+    if float(np.max(np.abs(a @ b1 - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
+        raise SingularUnresolvedError("gross output lies outside the column space of the singular matrix")
+    if _is_positive_certificate(a, b1):
+        return b1
+    kernel = vh[rank:].T
     growth = np.eye(n) - a
     # variables (mu, t): maximize t with b1 + N mu >= t, (E-A)(b1 + N mu) >= t
     k = kernel.shape[1]
@@ -103,11 +67,8 @@ def _positive_repair(a: np.ndarray, b1: np.ndarray) -> np.ndarray | None:
     c = np.zeros(k + 1)
     c[-1] = -1.0
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (k + 1), method="highs")
-    if not result.success:
-        return None
-    t_star = -result.fun
-    if t_star <= POSITIVE_TOL * max(1.0, float(np.max(np.abs(b1)))):
-        return None
+    if not result.success or -result.fun <= POSITIVE_TOL * max(1.0, float(np.max(np.abs(b1)))):
+        return b1
     return b1 + kernel @ result.x[:k]
 
 
@@ -131,12 +92,10 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
     rank = matrix_rank(t.a)
-    b1 = _solve_intermediate(t.a, x, rank)
-    if rank < t.n and not _is_positive_certificate(t.a, b1):
-        repaired = _positive_repair(t.a, b1)
-        if repaired is not None:
-            b1 = repaired
-
+    if rank == t.n:
+        b1 = np.linalg.solve(t.a, x)
+    else:
+        b1 = _singular_intermediate(t.a, x, rank)
     if not _is_positive_certificate(t.a, b1):
         return SustainabilityVerdict(False, None, None, None, None)
 

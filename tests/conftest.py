@@ -8,12 +8,15 @@ active-set enumeration).
 
 from __future__ import annotations
 
+import itertools
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from ioequil import Technology
+from ioequil import ConeStatus, Technology
+from ioequil.core import POSITIVE_TOL, SPAN_TOL, matrix_rank
+from ioequil.errors import DegenerateGeneratorsError
 
 
 def data_path(name: str):
@@ -195,3 +198,95 @@ def price_map(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     b_bar = a @ z
     weights = np.where(z > 0.0, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
     return weights[:, None] * a.T
+
+
+# Reference copies of the basis completion and the biorthogonal system that
+# core.cone_membership and core.positive_solution_family used before they
+# took coordinates from one least-squares solve, with the two scans built on
+# them. They pin the coordinates, statuses and families of the new path.
+
+def _complete_to_basis(g: np.ndarray) -> np.ndarray:
+    """Extend linearly independent columns of ``g`` to an n x n basis.
+
+    Standard basis vectors are appended greedily in index order, which
+    keeps the completion (and hence the biorthogonal system) deterministic.
+    """
+    n, m = g.shape
+    cols = [g[:, j] for j in range(m)]
+    rank = matrix_rank(g)
+    for j in range(n):
+        if rank == n:
+            break
+        e = np.zeros(n)
+        e[j] = 1.0
+        candidate = np.column_stack(cols + [e])
+        r = matrix_rank(candidate)
+        if r > rank:
+            cols.append(e)
+            rank = r
+    if rank < n:
+        raise DegenerateGeneratorsError("could not complete generators to a basis")
+    return np.column_stack(cols)
+
+
+def biorthogonal_system(g: np.ndarray) -> np.ndarray:
+    """Vectors f_i with <f_i, g_j> = delta_ij for the completed basis of g.
+
+    Column ``i`` of the result pairs to one against column ``i`` of the
+    completion and to zero against every other column.
+    """
+    basis = _complete_to_basis(g)
+    return np.linalg.inv(basis).T
+
+
+def cone_membership_reference(g: np.ndarray, b: np.ndarray) -> tuple[ConeStatus, np.ndarray | None]:
+    """Status and coefficients of ``b`` from the biorthogonal products."""
+    m = g.shape[1]
+    head = (biorthogonal_system(g).T @ b)[:m]
+    scale = max(1.0, float(np.max(np.abs(b))))
+    in_span = float(np.max(np.abs(b - g @ head))) <= SPAN_TOL * scale
+    if not in_span or np.any(head < -POSITIVE_TOL * scale):
+        return ConeStatus.OUTSIDE, None
+    if np.all(head > POSITIVE_TOL * scale):
+        return ConeStatus.INTERIOR, head
+    return ConeStatus.BOUNDARY, head
+
+
+def solution_family_reference(c: np.ndarray, psi: np.ndarray):
+    """(subset, basis, constraint matrix) of the biorthogonal subset scan,
+    or None when no subset admits ``psi``."""
+    n, l = c.shape
+    r = matrix_rank(c)
+    scale = max(1.0, float(np.max(np.abs(psi))))
+    for subset in itertools.combinations(range(l), r):
+        g = c[:, subset]
+        if matrix_rank(g) < r:
+            continue
+        f = biorthogonal_system(g)
+        head = (f.T @ psi)[:r]
+        if np.any(head <= POSITIVE_TOL * scale):
+            continue
+        if float(np.max(np.abs(psi - g @ head))) > SPAN_TOL * scale:
+            continue
+        break
+    else:
+        return None
+    free = [j for j in range(l) if j not in subset]
+    z_base = np.zeros(l)
+    z_base[list(subset)] = head
+    basis = [z_base]
+    w = np.zeros((r, len(free)))
+    for pos, j in enumerate(free):
+        col_products = (f.T @ c[:, j])[:r]
+        positive = col_products > 0.0
+        if np.any(positive):
+            y_star = float(np.min(head[positive] / col_products[positive]))
+        else:
+            y_star = 1.0
+        z = np.zeros(l)
+        z[list(subset)] = head - col_products * y_star
+        z[j] = y_star
+        z[(z < 0.0) & (np.abs(z) < 1e-15 * scale)] = 0.0
+        basis.append(z)
+        w[:, pos] = col_products * y_star
+    return subset, basis, w

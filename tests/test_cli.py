@@ -32,8 +32,10 @@ GOLDEN_JSON = [
     (('tax', 'toy2_overtaxed.csv', 'bounds'), 1, 'f45467c8e4305f11c449bab6766f9f3e8b80b5e6887430923e71e825bd41eb1e'),
     (('tax', 'toy2_overtaxed.csv', 'value-added'), 0, '303dbc9e95b0950ed469ece9ee770b714cf713d7037877c622e25a111f1d8ac3'),
     (('check', 'toy3.csv'), 0, '17bcd3e9acdb04bd958d8692af7fbe7a7633a0d9ce6b36beb42c1eed60d8185d'),
-    (('sustainable', 'toy3.csv'), 1, 'f8b171823c4519c94154167d1ca74c431bd5fc913fd5ffd6032ab2f8f75577e7'),
-    (('sustainable', 'toy3.csv', '--tax-bounds'), 1, '04eaf34d6913e977b6e61e3869e21cb8ede9a6dc45454755c19a8e7af1fc6852'),
+    # toy3's A is singular; these two carry the exact certificate of
+    # test_sustainability.py::TestSingularBranch::test_toy3_exact_certificate
+    (('sustainable', 'toy3.csv'), 1, '1f87d4d2b98aa53e28f82e084d1004b7bca1872e8fae6c519f140c34af40ddea'),
+    (('sustainable', 'toy3.csv', '--tax-bounds'), 1, '2d74961d3fa27e5b6cab41868b9ad9c8392f062af2dab997d9c36c8f267d80a2'),
     (('equilibrium', 'toy3.csv'), 0, '06b09217b4f3690ac7fdb73cb5d5774ab25a7485e6bcd33e77d17aa44a57a1e5'),
     (('tax', 'toy3.csv', 'existing'), 0, '0ff755bc4ca50b2eaea5c593cfbcd3f5d6cb1350e5e6470ff236b8b58981b95c'),
     (('tax', 'toy3.csv', 'best'), 0, 'b5ae83ca145c682260744fc2ff3dadb4cd21d0a9dd78fc34f252268e4efad6d7'),
@@ -175,6 +177,43 @@ class TestEquilibrium:
         assert code == 0
         assert doc["results"]["excess_level"] == 0.0
         assert doc["results"]["slack"] == []
+
+    def test_decomposable_table_clearing_at_unit_prices(self, capsys, tmp_path):
+        # A = diag(0.5, 0.5) clears at unit prices with pi0 = 0.5; no
+        # reported field needs an indecomposable matrix
+        path = tmp_path / "diagonal.csv"
+        path.write_text(
+            "sector,a,b,C,E,I,X\n"
+            "a,0.5,0,0.5,0,0,1\n"
+            "b,0,0.5,0.5,0,0,1\n"
+            "T1,0.25,0.25\nZ1,0.25,0.25\n"
+        )
+        code, doc = run_json(capsys, ["equilibrium", str(path), "--format", "json"])
+        assert code == 0
+        results = doc["results"]
+        assert results["mode"] == "support"
+        assert results["binding"] == [1, 2] and results["slack"] == []
+        assert results["prices"] == [0.5, 0.5]
+        assert results["supply"] == [0.5, 0.5]
+        assert results["excess_level"] == 0.0
+
+    @pytest.mark.parametrize("argv", [["equilibrium"], ["sustainable", "--tax-bounds"]])
+    def test_no_gross_output_reconstruction(self, capsys, toy2, monkeypatch, argv):
+        # neither command reports the gross-output reconstruction of
+        # tax_bounds, so analyze does not ask for it
+        from ioequil import taxation
+
+        calls = []
+        original = taxation.balanced_eigenvector
+
+        def counted(m, *args, **kwargs):
+            calls.append(1)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(taxation, "balanced_eigenvector", counted)
+        code, _ = run_json(capsys, [argv[0], str(toy2), *argv[1:], "--format", "json"])
+        assert code == 0
+        assert calls == []
 
     def test_overtaxed_reports_binding_set_and_positive_excess(self, capsys, overtaxed):
         code, doc = run_json(capsys, ["equilibrium", str(overtaxed), "--format", "json"])

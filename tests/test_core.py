@@ -21,11 +21,13 @@ from ioequil.errors import (
 )
 
 from conftest import (
+    cone_membership_reference,
     indecomposable_oracle,
     price_map,
     random_indecomposable,
     random_productive,
     simplex_power_iteration_reference,
+    solution_family_reference,
     spectral_radius_oracle,
     spectral_radius_reference,
     two_block,
@@ -280,6 +282,49 @@ class TestConeMembership:
             assert result.status is ConeStatus.INTERIOR
             assert np.max(np.abs(g @ result.coefficients - b)) < 1e-9
 
+    def test_matches_biorthogonal_reference(self, rng):
+        # interior, boundary (one zero weight), outside (one negative weight)
+        # and outside the span, on sparse generators
+        statuses = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(1, n + 1))
+            g = rng.uniform(0.0, 1.0, (n, m))
+            g[rng.uniform(size=(n, m)) < 0.2] = 0.0
+            g[0, :] += 0.05
+            if matrix_rank(g) < m:
+                continue
+            weights = rng.uniform(0.2, 2.0, m)
+            kind = trial % 4
+            if kind == 1:
+                weights[rng.integers(m)] = 0.0
+            elif kind == 2:
+                weights[rng.integers(m)] = -0.5
+            b = g @ weights if kind < 3 else rng.uniform(0.1, 1.0, n)
+            status, head = cone_membership_reference(g, b)
+            result = cone_membership(g, b)
+            assert result.status is status
+            statuses.add(status)
+            if head is not None:
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(head))))
+                assert np.max(np.abs(result.coefficients - head)) < tol
+        assert statuses == set(ConeStatus)
+
+    def test_one_rank_call(self, rng, monkeypatch):
+        # the full-column-rank check is the only rank decision
+        calls = []
+        original = core.matrix_rank
+
+        def counted(m, *args, **kwargs):
+            calls.append(1)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(core, "matrix_rank", counted)
+        g = rng.uniform(0.1, 1.0, (8, 3))
+        result = cone_membership(g, g @ np.array([1.0, 2.0, 3.0]))
+        assert result.status is ConeStatus.INTERIOR
+        assert len(calls) == 1
+
 
 class TestSolutionFamily:
     def test_worked_example(self):
@@ -331,3 +376,43 @@ class TestSolutionFamily:
                 y = family.combine(gamma)
                 assert np.all(y > 0.0)
                 assert np.max(np.abs(c @ y - psi)) < 1e-9
+
+    def test_matches_biorthogonal_reference(self, rng):
+        found = 0
+        for trial in range(200):
+            n = int(rng.integers(1, 6))
+            l = int(rng.integers(1, 8))
+            c = rng.uniform(0.0, 1.0, (n, l))
+            c[rng.uniform(size=(n, l)) < 0.2] = 0.0
+            c[0, :] += 0.05
+            psi = rng.uniform(0.1, 1.0, n) if trial % 3 == 0 else c @ rng.uniform(0.2, 2.0, l)
+            reference = solution_family_reference(c, psi)
+            if reference is None:
+                with pytest.raises(NotInteriorError):
+                    positive_solution_family(c, psi)
+                continue
+            subset, basis, constraints = reference
+            family = positive_solution_family(c, psi)
+            assert family.subset == subset
+            assert len(family.basis) == len(basis)
+            scale = max(1.0, float(np.max(np.abs(np.array(basis)))))
+            for got, want in zip(family.basis, basis):
+                assert np.max(np.abs(got - want)) < 1e-12 * scale
+            assert family.constraint_matrix.shape == constraints.shape
+            if constraints.size:
+                assert np.max(np.abs(family.constraint_matrix - constraints)) < 1e-12 * scale
+            found += 1
+        assert found > 100
+
+    def test_one_rank_call_per_subset(self, monkeypatch):
+        # one for C and one for the accepted first subset (0, 1)
+        calls = []
+        original = core.matrix_rank
+
+        def counted(m, *args, **kwargs):
+            calls.append(1)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(core, "matrix_rank", counted)
+        positive_solution_family(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), (2.0, 2.0))
+        assert len(calls) == 2

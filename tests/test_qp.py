@@ -17,6 +17,36 @@ def test_worked_partial_clearing_example():
     assert result.kkt_residual < 1e-10
 
 
+def test_certificate_not_recomputed_after_the_loop(monkeypatch):
+    # one NNLS per stationary point (z = 0, then z = (10, 0)); the residual of
+    # the last one is the reported certificate
+    from ioequil import qp
+
+    calls = []
+    original = qp.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "nnls", counted)
+    result = solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
+    assert len(calls) == 2
+    assert result.kkt_residual < 1e-10
+
+
+def test_empty_working_set_reports_gradient_norm():
+    # min (z - 1)^2 + 25: the optimum z = 1 is reached with no bound and no
+    # supply row in the working set, so the certificate is the gradient norm
+    a = np.array([[1.0], [0.0]])
+    b = np.array([1.0, 5.0])
+    result = solve_min_excess(a, b)
+    assert np.array_equal(result.z, [1.0])
+    assert result.binding_rows == ()
+    gradient = 2.0 * a.T @ (a @ result.z - b)
+    assert result.kkt_residual == float(np.linalg.norm(gradient)) == 0.0
+
+
 def test_exact_fit_when_supply_in_cone_image():
     a = np.array([[0.2, 0.3], [0.3, 0.2]])
     b = a @ np.array([2.0, 2.0])

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ioequil import Technology, check_sustainable, clearing_residual
+from ioequil import Technology, check_sustainable, clearing_residual, load_table
+from ioequil.core import matrix_rank
 from ioequil.errors import (
     NotProductiveError,
     SingularUnresolvedError,
     ZeroDenominatorError,
 )
 
-from conftest import random_productive, spectral_radius_oracle
+from conftest import data_path, random_productive, spectral_radius_oracle
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -96,6 +97,62 @@ class TestCheckSustainable:
         # a generic right-hand side misses the rank-deficient column space
         with pytest.raises(SingularUnresolvedError):
             check_sustainable(t, np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+class TestSingularBranch:
+    @pytest.fixture
+    def linprog_calls(self, monkeypatch):
+        from ioequil import sustainability
+
+        calls = []
+        original = sustainability.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sustainability, "linprog", counted)
+        return calls
+
+    def test_toy3_exact_certificate(self, linprog_calls):
+        # rows s1 and s2 of toy3 are equal, so A has rank 2 with kernel
+        # (1, -1, 0). By hand, A b1 = 1 at b1 = (5/3, 5/3, 10/3), which is
+        # orthogonal to the kernel and hence the minimum-norm solution; the
+        # prices (1/4, 1/4, 1/2) satisfy p_i = b1_i <A_i, p> since A b1 = 1.
+        table = load_table(data_path("toy3.csv"))
+        t = table.technology
+        assert matrix_rank(t.a) == 2
+        verdict = check_sustainable(t, table.big_x)
+        assert verdict.sustainable
+        assert np.max(np.abs(verdict.b1 - [5 / 3, 5 / 3, 10 / 3])) < 1e-13
+        assert np.max(np.abs(verdict.alpha - [2 / 3, 2 / 3, 7 / 3])) < 1e-13
+        assert np.max(np.abs(verdict.prices - [0.25, 0.25, 0.5])) < 1e-12
+        assert np.max(np.abs(verdict.margins - [0.1, 0.1, 0.35])) < 1e-12
+        assert linprog_calls == []
+
+    def test_lp_moves_minimum_norm_solution_along_kernel(self, linprog_calls):
+        repaired = 0
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(3, 6))
+            t = make_singular_productive(rng, n)
+            x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.2, 2.0, n))
+            before = len(linprog_calls)
+            verdict = check_sustainable(t, x)
+            assert verdict.sustainable
+            if len(linprog_calls) == before:
+                continue
+            repaired += 1
+            # the minimum-norm solution fails the certificate; the LP's does not
+            min_norm = np.linalg.pinv(t.a) @ x
+            min_norm /= np.max(np.abs(min_norm))
+            assert min(np.min(min_norm), np.min(min_norm - t.a @ min_norm)) <= 1e-10
+            assert np.max(np.abs(t.a @ verdict.b1 - x)) < 1e-9 * max(1.0, float(np.max(x)))
+            assert np.all(verdict.b1 > 0.0) and np.all(verdict.alpha > 0.0)
+            assert np.all(verdict.margins > 0.0)
+            residual = clearing_residual(t, x, verdict.prices)
+            assert np.max(np.abs(residual)) < 1e-8 * max(1.0, float(np.max(x)))
+        assert repaired > 0
 
 
 class TestRankCalls:
