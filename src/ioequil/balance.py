@@ -15,12 +15,13 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .core import (
-    FIXED_POINT_MAXITER,
     FIXED_POINT_TOL,
+    POSITIVE_TOL,
     Technology,
     _matrix,
     _vector,
     is_indecomposable,
+    perron_vector,
     positive_solution_family,
 )
 from .errors import (
@@ -45,14 +46,10 @@ def balance_residual(b1: np.ndarray, d: np.ndarray) -> float:
 def balanced_eigenvector(b1) -> np.ndarray:
     """Strictly positive d with sum_k b1_ki d_k = (sum_s b1_is) d_i, sum d = 1.
 
-    Row-normalizing ``b1`` turns the system into a stochastic fixed point,
-    solved by iterating the averaged map ``d <- (d + E^T d)/2`` (the identity
-    average makes the map primitive, so plain iteration converges even for
-    periodic support patterns). The averaged map is column-stochastic and
-    keeps ``sum d = 1`` by itself, so this loop skips the per-step
-    normalization of ``core.simplex_fixed_point``, which would only slow
-    it down; it shares that loop's ``FIXED_POINT_TOL`` and
-    ``FIXED_POINT_MAXITER``.
+    Row-normalizing ``b1`` turns the system into the stochastic fixed point
+    ``E^T p = p`` with ``E = b1 / row_sums``, whose multiplier is one by
+    construction; ``core.perron_vector`` solves it directly, and
+    ``d = p / row_sums`` renormalized to sum one.
 
     For a decomposable matrix the solution is not unique; the uniform vector
     is returned as the canonical representative when it solves the system,
@@ -76,21 +73,11 @@ def balanced_eigenvector(b1) -> np.ndarray:
     if np.any(row_sums <= 0.0):
         raise DecomposableError("balance matrix has a zero row")
 
-    e = b1 / row_sums[:, None]
-    m = 0.5 * (np.eye(l) + e.T)
-    d1 = np.full(l, 1.0 / l)
-    for _ in range(FIXED_POINT_MAXITER):
-        d1_new = m @ d1
-        if np.max(np.abs(d1_new - d1)) < FIXED_POINT_TOL:
-            d1 = d1_new
-            break
-        d1 = d1_new
-    else:
-        raise NoConvergenceError("balanced eigenvector iteration hit the cap")
-    d = d1 / row_sums
+    p = perron_vector((b1 / row_sums[:, None]).T, "balanced weights")
+    d = p / row_sums
     d /= d.sum()
     if balance_residual(b1, d) > BALANCE_RESIDUAL_TOL * scale:
-        raise NoConvergenceError("balance residual above tolerance after convergence")
+        raise NoConvergenceError("balance residual above tolerance at the Perron solution")
     return d
 
 
@@ -120,6 +107,8 @@ def supply_demand_factor(c, b) -> np.ndarray:
         coeffs, residual = nnls(c, col)
         if residual > 1e-9 * scale:
             raise NotInConeError(j)
+        # a boundary column has exact zero coordinates; clear the NNLS dust
+        coeffs[coeffs <= POSITIVE_TOL * scale] = 0.0
         out[:, j] = coeffs
     return out
 

@@ -15,14 +15,13 @@ independent columns come from one least-squares solve
 (``np.linalg.lstsq``); the columns first pass the full-column-rank check,
 and a separate max-norm residual test decides span membership.
 
-Fixed-point policy: one loop, ``simplex_fixed_point``, serves every Perron
-fixed point on the simplex (the spectral radius, equilibrium prices and
-the sustainable-mode certificate prices). It iterates
-``p <- (p + M p) / sum(p + M p)`` from the barycentre and stops once the
-normalizing total has settled to ``FIXED_POINT_TOL`` relative and no
-entry moves by ``FIXED_POINT_TOL``; at ``FIXED_POINT_MAXITER`` steps it
-raises ``NoConvergenceError`` (CLI exit 3) instead of returning the last
-iterate.
+Fixed-point policy: a Perron vector whose multiplier is known to be one
+(prices, certificate prices, balanced weights) is one verified LU solve,
+``perron_vector``, with exact zeros on zero rows and no iteration cap.
+Only the spectral radius, whose root is unknown, iterates
+``p <- (p + M p) / sum(p + M p)`` until the total and every entry settle
+to ``FIXED_POINT_TOL``; at ``FIXED_POINT_MAXITER`` steps it raises
+``NoConvergenceError`` (CLI exit 3) instead of returning the last iterate.
 """
 
 from __future__ import annotations
@@ -37,17 +36,19 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeneratorsError,
+    HypothesisViolatedError,
     NoConvergenceError,
     NotInteriorError,
     NotProductiveError,
 )
 
 # Numerical policy: one documented constant per decision.
-PIVOT_RTOL = 1e-12        # relative pivot threshold for rank decisions
+PIVOT_RTOL = 1e-12        # rank decisions: relative QR pivot, LU reciprocal condition
 POSITIVE_TOL = 1e-10      # strict positivity after max-norm normalization
 SPAN_TOL = 1e-9           # max-norm residual for span membership
 FIXED_POINT_TOL = 1e-12   # settled total (relative) and step (max-norm) of a fixed point
 FIXED_POINT_MAXITER = 10 ** 6
+MULTIPLIER_TOL = 1e-10    # max-norm residual |M p - p| of a Perron vector, relative to max p
 
 
 def _vector(x, name: str = "vector") -> np.ndarray:
@@ -141,38 +142,56 @@ def is_indecomposable(t: Technology | np.ndarray) -> bool:
     return count == 1
 
 
-def simplex_fixed_point(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Perron vector of a non-negative matrix on the simplex, with its multiplier.
+def perron_vector(m: np.ndarray, what: str) -> np.ndarray:
+    """Fixed point ``M p = p`` on the simplex of a non-negative M with multiplier one.
 
-    Iterates ``p <- (p + M p) / total`` with ``total = sum(p + M p)``; adding
-    the identity breaks the cycling of periodic support patterns and moves
-    the multiplier by exactly one. The settled ``total - 1`` estimates the
-    spectral radius of ``M`` and is returned beside ``p``. Raises
-    NoConvergenceError naming ``what`` when the iteration hits the cap.
+    Zero rows of M force zero entries. The other rows L solve
+    ``(E - M_LL + 1 1^T) p_L = 1`` by one LU; that matrix is nonsingular
+    exactly when the eigenvalue one is simple, judged by a reciprocal
+    condition number (LAPACK ``gecon``) above ``PIVOT_RTOL``. Negative dust
+    within ``POSITIVE_TOL * max p`` is zeroed; then p must be finite,
+    non-negative and satisfy ``|M p - p| <= MULTIPLIER_TOL * max p``.
+    Failures raise HypothesisViolatedError naming ``what``.
     """
-    k = m.shape[0]
-    p = np.full(k, 1.0 / k)
-    previous = 1.0
-    for _ in range(FIXED_POINT_MAXITER):
-        q = p + m @ p
-        total = float(q.sum())
-        q /= total
-        # the scalar test runs first: it is cheaper and usually fails
-        settled = abs(total - previous) <= FIXED_POINT_TOL * total
-        if settled and np.max(np.abs(q - p)) < FIXED_POINT_TOL:
-            return q, total - 1.0
-        p, previous = q, total
-    raise NoConvergenceError(f"{what} iteration hit the cap")
+    p = np.zeros(m.shape[0])
+    live = np.flatnonzero(np.any(m != 0.0, axis=1))
+    if live.size:
+        system = np.eye(live.size) - m[np.ix_(live, live)] + 1.0
+        lu, _, p[live], info = linalg.lapack.dgesv(system, np.ones(live.size))
+        if info != 0 or linalg.lapack.dgecon(lu, np.linalg.norm(system, 1))[0] <= PIVOT_RTOL:
+            raise HypothesisViolatedError(f"{what}: the eigenvalue one is not simple")
+    top = float(np.max(p))
+    p[(p < 0.0) & (p >= -POSITIVE_TOL * top)] = 0.0
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0) and top > 0.0
+            and float(np.max(np.abs(m @ p - p))) <= MULTIPLIER_TOL * top):
+        raise HypothesisViolatedError(f"{what}: no non-negative fixed point with multiplier one")
+    return p
 
 
 def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus of a non-negative matrix by power iteration."""
+    """Largest eigenvalue modulus of a non-negative matrix by power iteration.
+
+    The shift by the identity in ``p + A p`` breaks the cycling of periodic
+    support patterns and moves the multiplier by exactly one.
+    """
     a = _matrix(a)
     if np.any(a < 0):
         raise ValueError("spectral_radius expects a non-negative matrix")
     if not np.any(a):
         return 0.0
-    return simplex_fixed_point(a, "spectral radius")[1]
+    k = a.shape[0]
+    p = np.full(k, 1.0 / k)
+    previous = 1.0
+    for _ in range(FIXED_POINT_MAXITER):
+        q = p + a @ p
+        total = float(q.sum())
+        q /= total
+        # the scalar test runs first: it is cheaper and usually fails
+        settled = abs(total - previous) <= FIXED_POINT_TOL * total
+        if settled and np.max(np.abs(q - p)) < FIXED_POINT_TOL:
+            return total - 1.0
+        p, previous = q, total
+    raise NoConvergenceError("spectral radius iteration hit the cap")
 
 
 def is_productive(t: Technology, *, rho: float | None = None) -> bool:

@@ -17,7 +17,7 @@ from .core import (
     Technology,
     _vector,
     is_indecomposable,
-    simplex_fixed_point,
+    perron_vector,
 )
 from .errors import (
     DecomposableError,
@@ -32,7 +32,6 @@ from .sustainability import clearing_residual
 
 BINDING_TOL = 1e-8          # |b_i - (A z)_i| <= BINDING_TOL * max(1, b_i)
 CLEARING_TOL = 1e-8
-MULTIPLIER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -159,20 +158,13 @@ def _support_violation(t: Technology, b: np.ndarray, z: np.ndarray,
     return None
 
 
-def _check_multiplier(multiplier: float) -> None:
-    if abs(multiplier - 1.0) > MULTIPLIER_TOL:
-        raise HypothesisViolatedError(
-            f"fixed-point multiplier {multiplier:.3e} differs from one beyond tolerance"
-        )
-
-
 def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     """Equilibrium prices supported on the binding rows.
 
     ``z`` must solve the binding system restricted to the binding index set
-    (strictly positive there, slack elsewhere); prices are the fixed point
-    of the weighted simplex map on the binding block, extended by zero, and
-    the fixed-point multiplier is checked against one.
+    (strictly positive there, slack elsewhere); prices are the Perron vector
+    (multiplier one) of the weighted map on the binding block, extended by
+    zero.
     """
     b = _vector(b, "supply vector")
     z = _vector(z, "solution vector")
@@ -190,8 +182,7 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
         raise HypothesisViolatedError(reason)
 
     y = z[idx] / b[idx]
-    p_block, multiplier = simplex_fixed_point(y[:, None] * minor.T, "price fixed-point")
-    _check_multiplier(multiplier)
+    p_block = perron_vector(y[:, None] * minor.T, "support prices")
     p = np.zeros(t.n)
     p[idx] = p_block
     return p
@@ -214,18 +205,17 @@ def prices_from_consumption(t: Technology, z) -> np.ndarray:
     if np.any(b_bar[supported] <= 0.0):
         raise HypothesisViolatedError("real consumption vanishes on a supported sector")
     weights = np.where(supported, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
-    p, multiplier = simplex_fixed_point(weights[:, None] * t.a.T, "price fixed-point")
-    _check_multiplier(multiplier)
+    p = perron_vector(weights[:, None] * t.a.T, "consumption prices")
     # reconstruction and clearing checks
     denom = t.a.T @ p
-    scale = max(1.0, float(np.max(np.abs(z))))
-    recon_gap = 0.0
-    for i in range(t.n):
-        if denom[i] > 0.0:
-            recon_gap = max(recon_gap, abs(b_bar[i] * p[i] / denom[i] - z[i]))
-        elif z[i] > 0.0:
-            raise HypothesisViolatedError("input cost vanishes on a supported sector")
-    if recon_gap > CLEARING_TOL * scale:
+    if np.any(supported & (denom <= 0.0)):
+        raise HypothesisViolatedError("input cost vanishes on a supported sector")
+    vanishing = np.flatnonzero(supported & (p <= POSITIVE_TOL * np.max(p)))
+    if vanishing.size:
+        raise HypothesisViolatedError(f"price vanishes on supported sector {vanishing[0]}")
+    live = denom > 0.0
+    recon_gap = float(np.max(np.abs(b_bar[live] * p[live] / denom[live] - z[live])))
+    if recon_gap > CLEARING_TOL * max(1.0, float(np.max(np.abs(z)))):
         raise HypothesisViolatedError("price reconstruction of z failed beyond tolerance")
     residual = clearing_residual(t, b_bar, p)
     if float(np.max(np.abs(residual))) > CLEARING_TOL * max(1.0, float(np.max(np.abs(b_bar)))):

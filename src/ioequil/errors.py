@@ -111,10 +111,6 @@ class SolverStallError(NumericalError):
     """Active-set solver could not reduce the KKT residual."""
 
 
-class SingularUnresolvedError(NumericalError):
-    """A singular system has no solution within the residual tolerance."""
-
-
 class DegenerateQuadraticFormError(NumericalError):
     """Normalizing quadratic form vanishes at the limit point."""
 

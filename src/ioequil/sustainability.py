@@ -20,13 +20,12 @@ from .core import (
     is_indecomposable,
     is_productive,
     matrix_rank,
-    simplex_fixed_point,
+    perron_vector,
 )
 from .errors import (
     DecomposableError,
     HypothesisViolatedError,
     NotProductiveError,
-    SingularUnresolvedError,
     ZeroDenominatorError,
 )
 
@@ -40,19 +39,21 @@ class SustainabilityVerdict:
     margins: np.ndarray | None
 
 
-def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
+def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray | None:
     """Solve A b1 = x for a singular A from one SVD sliced at ``rank``.
 
-    The minimum-norm solution is returned when it is already a positive
-    certificate. Otherwise b1 is determined only up to ker(A), so a small
-    linear program moves it along the kernel to maximize the worst of the
-    margins b1 > 0 and (E - A) b1 > 0; the caller re-checks the result.
+    Returns None when x lies outside the column space of A: no b1 exists,
+    so the mode is not sustainable. The minimum-norm solution is returned
+    when it is already a positive certificate. Otherwise b1 is determined
+    only up to ker(A), so a small linear program moves it along the kernel
+    to maximize the worst of the margins b1 > 0 and (E - A) b1 > 0; the
+    caller re-checks the result.
     """
     n = a.shape[0]
     u, s, vh = np.linalg.svd(a)
     b1 = vh[:rank].T @ ((u[:, :rank].T @ x) / s[:rank])
     if float(np.max(np.abs(a @ b1 - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
-        raise SingularUnresolvedError("gross output lies outside the column space of the singular matrix")
+        return None
     if _is_positive_certificate(a, b1):
         return b1
     kernel = vh[rank:].T
@@ -96,7 +97,7 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
         b1 = np.linalg.solve(t.a, x)
     else:
         b1 = _singular_intermediate(t.a, x, rank)
-    if not _is_positive_certificate(t.a, b1):
+    if b1 is None or not _is_positive_certificate(t.a, b1):
         return SustainabilityVerdict(False, None, None, None, None)
 
     alpha = (np.eye(t.n) - t.a) @ b1
@@ -120,7 +121,7 @@ def _certificate_prices(a: np.ndarray, b1: np.ndarray) -> np.ndarray:
     if np.any(image <= 0.0):
         raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
     ratio = b1 / image
-    return simplex_fixed_point(ratio[:, None] * a.T, "certificate price")[0]
+    return perron_vector(ratio[:, None] * a.T, "certificate prices")
 
 
 def clearing_residual(t: Technology, x, p) -> np.ndarray:

@@ -15,8 +15,17 @@ import numpy as np
 import pytest
 
 from ioequil import ConeStatus, Technology
-from ioequil.core import POSITIVE_TOL, SPAN_TOL, matrix_rank
-from ioequil.errors import DegenerateGeneratorsError
+from ioequil.balance import BALANCE_RESIDUAL_TOL, balance_residual
+from ioequil.core import (
+    FIXED_POINT_MAXITER,
+    FIXED_POINT_TOL,
+    POSITIVE_TOL,
+    SPAN_TOL,
+    _matrix,
+    is_indecomposable,
+    matrix_rank,
+)
+from ioequil.errors import DecomposableError, DegenerateGeneratorsError, NoConvergenceError
 
 
 def data_path(name: str):
@@ -140,10 +149,11 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
 
 
-# Reference copies of the two power-iteration loops that
-# core.simplex_fixed_point replaced: the price fixed point (equilibrium)
-# and the spectral radius on A + E (core). They pin the arithmetic of the
-# shared loop.
+# Reference copies of the power-iteration loops that served the Perron
+# vectors before core.perron_vector solved them directly: the price fixed
+# point (equilibrium), the spectral radius on A + E (core; the loop that
+# remains) and the balanced-eigenvector loop (balance). They pin the direct
+# solve where the loops converge.
 
 def simplex_power_iteration_reference(m: np.ndarray) -> np.ndarray:
     """Fixed point of p -> (p + M p) / sum(p + M p) on the simplex."""
@@ -174,6 +184,58 @@ def spectral_radius_reference(a: np.ndarray, rtol: float = 1e-12,
             return lam_new - 1.0
         x, lam = y, lam_new
     return lam - 1.0
+
+
+def balanced_eigenvector_reference(b1) -> np.ndarray:
+    """Strictly positive d with sum_k b1_ki d_k = (sum_s b1_is) d_i, sum d = 1.
+
+    Row-normalizing ``b1`` turns the system into a stochastic fixed point,
+    solved by iterating the averaged map ``d <- (d + E^T d)/2`` (the identity
+    average makes the map primitive, so plain iteration converges even for
+    periodic support patterns). The averaged map is column-stochastic and
+    keeps ``sum d = 1`` by itself, so this loop skips the per-step
+    normalization of ``core.simplex_fixed_point``, which would only slow
+    it down; it shares that loop's ``FIXED_POINT_TOL`` and
+    ``FIXED_POINT_MAXITER``.
+
+    For a decomposable matrix the solution is not unique; the uniform vector
+    is returned as the canonical representative when it solves the system,
+    otherwise DecomposableError is raised.
+    """
+    b1 = _matrix(b1, "balance matrix")
+    l = b1.shape[0]
+    if b1.shape[1] != l:
+        raise ValueError("balance matrix must be square")
+    if np.any(b1 < 0):
+        raise ValueError("balance matrix must be non-negative")
+    scale = max(1.0, float(np.max(b1)))
+    row_sums = b1.sum(axis=1)
+    if not is_indecomposable(b1) and l > 1:
+        uniform = np.full(l, 1.0 / l)
+        if np.any(row_sums <= 0.0):
+            raise DecomposableError("balance matrix has a zero row")
+        if balance_residual(b1, uniform) <= BALANCE_RESIDUAL_TOL * scale:
+            return uniform
+        raise DecomposableError("balance matrix is decomposable and has no canonical solution")
+    if np.any(row_sums <= 0.0):
+        raise DecomposableError("balance matrix has a zero row")
+
+    e = b1 / row_sums[:, None]
+    m = 0.5 * (np.eye(l) + e.T)
+    d1 = np.full(l, 1.0 / l)
+    for _ in range(FIXED_POINT_MAXITER):
+        d1_new = m @ d1
+        if np.max(np.abs(d1_new - d1)) < FIXED_POINT_TOL:
+            d1 = d1_new
+            break
+        d1 = d1_new
+    else:
+        raise NoConvergenceError("balanced eigenvector iteration hit the cap")
+    d = d1 / row_sums
+    d /= d.sum()
+    if balance_residual(b1, d) > BALANCE_RESIDUAL_TOL * scale:
+        raise NoConvergenceError("balance residual above tolerance after convergence")
+    return d
 
 
 def two_block(rng: np.random.Generator, n: int, k: int, coupling: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from ioequil import (
 from ioequil.balance import balance_residual
 from ioequil.errors import DecomposableError, NotInConeError, ZeroImageError
 
-from conftest import random_indecomposable
+from conftest import balanced_eigenvector_reference, random_indecomposable, two_block
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -46,6 +46,15 @@ class TestBalancedEigenvector:
             assert abs(d.sum() - 1.0) < 1e-12
             assert balance_residual(b1, d) < 1e-10 * max(1.0, float(np.max(b1)))
 
+    def test_matches_reference_loop(self, rng):
+        cases = [two_block(rng, 40, 16, 1e-3).T]
+        for _ in range(60):
+            l = int(rng.integers(1, 31))
+            cases.append(random_indecomposable(rng, l, density=float(rng.uniform(0.1, 1.0))))
+        for b1 in cases:
+            d = balanced_eigenvector(b1)
+            assert np.max(np.abs(d - balanced_eigenvector_reference(b1))) <= 1e-8
+
 
 class TestSupplyDemandFactor:
     def test_identity_demand(self):
@@ -66,6 +75,12 @@ class TestSupplyDemandFactor:
         b1 = supply_demand_factor(c, c)
         assert np.allclose(c @ b1, c, atol=1e-10)
         assert np.all(b1 >= 0.0)
+
+    def test_boundary_columns_have_exact_zero_coordinates(self):
+        # each column of C is a generator, so its coordinates are exactly
+        # (1, 0) and (0, 1); non-negative least squares leaves dust otherwise
+        c = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert np.array_equal(supply_demand_factor(c, c), np.eye(2))
 
     def test_column_outside_cone(self):
         c = np.array([[1.0, 2.0], [2.0, 1.0]])

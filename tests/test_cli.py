@@ -1,15 +1,17 @@
 import hashlib
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
 
-from ioequil import loads_table
+from ioequil import load_table, loads_table, tax_family
 from ioequil.cli import main
+from ioequil.real_economy import analyze
 from ioequil.reporting import validate_report
 
-from conftest import data_path
+from conftest import data_path, two_block
 
 # (argv, exit code, SHA-256 of the --format json stdout) for every command on
 # the bundled tables. Refactors must keep these bytes; a change to them must be
@@ -36,9 +38,10 @@ GOLDEN_JSON = [
     # test_sustainability.py::TestSingularBranch::test_toy3_exact_certificate
     (('sustainable', 'toy3.csv'), 1, '1f87d4d2b98aa53e28f82e084d1004b7bca1872e8fae6c519f140c34af40ddea'),
     (('sustainable', 'toy3.csv', '--tax-bounds'), 1, '2d74961d3fa27e5b6cab41868b9ad9c8392f062af2dab997d9c36c8f267d80a2'),
-    (('equilibrium', 'toy3.csv'), 0, '06b09217b4f3690ac7fdb73cb5d5774ab25a7485e6bcd33e77d17aa44a57a1e5'),
+    # these two carry the exact prices and best_pi of TestToy3ExactOracles
+    (('equilibrium', 'toy3.csv'), 0, '4a42f96a3742daa6768e47044c6f83b209c2935d0b22361be8df27bdf5729a48'),
     (('tax', 'toy3.csv', 'existing'), 0, '0ff755bc4ca50b2eaea5c593cfbcd3f5d6cb1350e5e6470ff236b8b58981b95c'),
-    (('tax', 'toy3.csv', 'best'), 0, 'b5ae83ca145c682260744fc2ff3dadb4cd21d0a9dd78fc34f252268e4efad6d7'),
+    (('tax', 'toy3.csv', 'best'), 0, '0fc851a39711bc1e1aadcfa00b75fa0d76fdb1f7c47e8354b25e7685a5a96af7'),
     (('tax', 'toy3.csv', 'bounds'), 0, '2b5a952964b0bf1e21d60e776cd63bfc3e3e4ea9d407a9a779405b2a23fe4e17'),
     (('tax', 'toy3.csv', 'value-added'), 0, '32e17fa1115950cdfa23ad7e2e5d7da6f2f0d9ddd63863a64dbd52311a2d429f'),
     (('aggregate', 'toy3.csv', 'toy3to2.map'), 0, 'b2052fcdbc7cc7209080f62c155299bac9709f4e3ee137d75073aa7081c75f3c'),
@@ -170,6 +173,24 @@ class TestSustainable:
         assert "tax_bounds" in doc["results"]
         assert doc["results"]["tax_bounds"]["feasible"] is True
 
+    def test_singular_output_outside_column_space_exits_one(self, capsys, tmp_path):
+        # toy3 with sector s2's gross output doubled: rows s1 and s2 of
+        # A = Z / X stay equal, so every A b1 has equal first two entries
+        # while x = (1, 2, 1); no b1 exists and the mode is not sustainable
+        path = tmp_path / "toy3_s2_doubled.csv"
+        path.write_text(
+            "sector,s1,s2,s3,C,E,I,X\n"
+            "s1,0.1,0.1,0.2,0.6,0,0,1\n"
+            "s2,0.1,0.1,0.2,1.6,0,0,2\n"
+            "s3,0.2,0.2,0.1,0.5,0,0,1\n"
+            "T1,0.3,0.8,0.25\nZ1,0.3,0.8,0.25\n"
+        )
+        a = load_table(path).technology.a
+        assert np.array_equal(a[0], a[1])
+        code, doc = run_json(capsys, ["sustainable", str(path), "--format", "json"])
+        assert code == 1
+        assert doc["results"]["criterion"]["sustainable"] is False
+
 
 class TestEquilibrium:
     def test_symmetric_toy_full_clearing(self, capsys, toy2):
@@ -228,6 +249,71 @@ class TestEquilibrium:
         assert code == 0
         point = doc["results"]["alpha_point"]
         assert point["scale"] >= 1.0
+
+
+def weak_table_csv(coupling: float) -> str:
+    """Balanced 40-sector table over two dense blocks coupled at ``coupling``."""
+    rng = np.random.default_rng(0)
+    a = two_block(rng, 40, 16, coupling)
+    x = np.linalg.solve(np.eye(40) - a, rng.uniform(0.5, 1.5, 40))
+    z = a * x[None, :]
+    delta = x - z.sum(axis=0)
+    final = x - z.sum(axis=1)
+    names = [f"s{k + 1}" for k in range(40)]
+    lines = [",".join(["sector", *names, "C", "E", "I", "X"])]
+    for k in range(40):
+        lines.append(",".join([names[k], *(repr(float(v)) for v in [*z[k], final[k], 0.0, 0.0, x[k]])]))
+    lines.append(",".join(["T1", *(repr(float(v)) for v in 0.3 * delta)]))
+    lines.append(",".join(["Z1", *(repr(float(v)) for v in 0.7 * delta)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestWeakCoupling:
+    @pytest.mark.parametrize("argv", [["equilibrium"], ["sustainable"], ["tax", "best"]],
+                             ids=["equilibrium", "sustainable", "tax best"])
+    def test_finishes_without_an_iteration_cap(self, capsys, tmp_path, argv):
+        # the price and balanced-weight loops this table used to need ran
+        # into their 10^6-step cap and exited 3 after seconds
+        path = tmp_path / "weak.csv"
+        path.write_text(weak_table_csv(1e-6))
+        start = time.perf_counter()
+        code = main([argv[0], str(path), *argv[1:], "--format", "json"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 0.5
+        assert code in (0, 1) and captured.err == ""
+        assert validate_report(json.loads(captured.out)) == []
+
+
+class TestToy3ExactOracles:
+    """Hand solutions behind the golden hashes of toy3 `equilibrium` and `tax best`."""
+
+    def test_equilibrium_prices(self, capsys):
+        # pi0 = T1 / Delta = 1/2, so the supply is b = X / 2 = (1/2, 1/2, 1/2).
+        # The program's optimum z = (0, 5/3, 5/3) clears it (A z = b), and the
+        # price map diag(z / A z) A^T has a zero first row, so p_1 = 0 and
+        # p_2 = (10/3)(p_2 / 10 + p_3 / 5), p_3 = (10/3)(p_2 / 5 + p_3 / 10):
+        # p = (0, 1/2, 1/2)
+        state = analyze(load_table(data_path("toy3.csv"))).equilibrium
+        assert state.mode == "generalized"
+        assert np.max(np.abs(state.z - [0.0, 5 / 3, 5 / 3])) < 1e-13
+        assert np.max(np.abs(state.p - [0.0, 0.5, 0.5])) < 1e-13
+        assert state.p[0] == 0.0
+        code, doc = run_json(capsys, ["equilibrium", str(data_path("toy3.csv")), "--format", "json"])
+        assert code == 0
+        assert doc["results"]["prices"] == [0.0, 0.5, 0.5]
+
+    def test_best_pi(self, capsys):
+        # A d = s * d holds at d = (1/3, 1/3, 1/3) (A's rows sum to its column
+        # sums s = (2/5, 2/5, 1/2)), so factor = d s / X = s / 3 and
+        # best_pi = 1 - factor / max(factor) = (1/5, 1/5, 0)
+        table = load_table(data_path("toy3.csv"))
+        family = tax_family(table.technology, table.big_x, table.delta)
+        assert np.max(np.abs(family.v0 - 1.0 / 3.0)) < 1e-13
+        assert np.max(np.abs(family.best_pi - [0.2, 0.2, 0.0])) < 1e-13
+        code, doc = run_json(capsys, ["tax", str(data_path("toy3.csv")), "best", "--format", "json"])
+        assert code == 0
+        assert doc["results"]["best_pi"] == [0.2, 0.2, 0.0]
 
 
 class TestTax:

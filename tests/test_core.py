@@ -12,9 +12,10 @@ from ioequil import (
     spectral_radius,
 )
 from ioequil import core
-from ioequil.core import matrix_rank, simplex_fixed_point
+from ioequil.core import matrix_rank, perron_vector
 from ioequil.errors import (
     DegenerateGeneratorsError,
+    HypothesisViolatedError,
     NoConvergenceError,
     NotInteriorError,
     NotProductiveError,
@@ -164,12 +165,12 @@ class TestProductive:
 
 
 def _fixed_point_cases():
-    """(name, technology, price map) on the shapes the shared loop serves."""
+    """(name, technology, price map) on the shapes the Perron solve serves."""
     rng = np.random.default_rng(41)
     block = two_block(rng, 40, 16, 1e-3)
     z = rng.uniform(0.5, 1.5, 40)
     z_tail = z.copy()
-    z_tail[rng.choice(40, 8, replace=False)] = 0.0    # zero rows: subnormal price tail
+    z_tail[rng.choice(40, 8, replace=False)] = 0.0    # zero rows of the price map
     sparse = random_indecomposable(rng, 60, density=0.3)
     sparse *= 0.6 / spectral_radius_oracle(sparse)
     cycle = 0.5 * np.roll(np.eye(5), 1, axis=0)        # periodic support
@@ -184,13 +185,23 @@ def _fixed_point_cases():
 FIXED_POINT_CASES = _fixed_point_cases()
 
 
+def _stochastic_block(rng, k: int) -> np.ndarray:
+    b = rng.uniform(0.05, 1.0, (k, k))
+    b[rng.uniform(size=(k, k)) >= 0.5] = 0.0
+    b += 0.1 * np.roll(np.eye(k), 1, axis=0)          # keeps the block irreducible
+    return b / b.sum(axis=0)
+
+
 class TestSimplexFixedPoint:
+    """Fixed points on the simplex: the direct Perron solve for a known
+    multiplier and the power loop that remains for the spectral radius."""
+
     @pytest.mark.parametrize("name, a, m", FIXED_POINT_CASES,
                              ids=[case[0] for case in FIXED_POINT_CASES])
     def test_matches_reference_loops(self, name, a, m):
-        p, multiplier = simplex_fixed_point(m, "price fixed-point")
-        assert np.array_equal(p, simplex_power_iteration_reference(m))
-        assert abs(multiplier - 1.0) <= 1e-10
+        p = perron_vector(m, "test")
+        assert np.max(np.abs(p - simplex_power_iteration_reference(m))) <= 1e-8
+        assert abs(p.sum() - 1.0) <= 1e-12
         # x + A x and (A + E) x round differently: ρ agrees with the loop on
         # A + E to two units in the last place of 1 + ρ
         rho = spectral_radius(a)
@@ -198,24 +209,52 @@ class TestSimplexFixedPoint:
         assert abs(rho - reference) <= 2.0 * np.spacing(1.0 + reference)
         assert rho == pytest.approx(spectral_radius_oracle(a), abs=1e-9)
 
-    def test_zero_rows_leave_a_subnormal_tail(self):
+    def test_zero_rows_give_exact_zeros(self):
         _, _, m = FIXED_POINT_CASES[1]
-        p, _ = simplex_fixed_point(m, "price fixed-point")
-        assert 0.0 < np.min(p) < np.finfo(float).tiny
+        zero_rows = ~np.any(m != 0.0, axis=1)
+        assert zero_rows.sum() == 8
+        p = perron_vector(m, "test")
+        assert np.all(p[zero_rows] == 0.0)
+        assert np.min(p[~zero_rows]) > 0.0
+        assert np.max(np.abs(m @ p - p)) <= 1e-14
+
+    def test_stochastic_matrices_match_the_eigenvector_oracle(self, rng):
+        for _ in range(50):
+            k = int(rng.integers(1, 30))
+            m = _stochastic_block(rng, k)
+            values, vectors = np.linalg.eig(m)
+            oracle = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+            oracle /= oracle.sum()
+            assert np.max(np.abs(perron_vector(m, "test") - oracle)) <= 1e-10
+
+    def test_two_closed_classes_raise(self, rng):
+        for _ in range(50):
+            k1, k2 = (int(k) for k in rng.integers(1, 30, 2))
+            m = np.zeros((k1 + k2, k1 + k2))
+            m[:k1, :k1] = _stochastic_block(rng, k1)
+            m[k1:, k1:] = _stochastic_block(rng, k2)
+            order = rng.permutation(k1 + k2)
+            with pytest.raises(HypothesisViolatedError, match="the eigenvalue one is not simple"):
+                perron_vector(m[np.ix_(order, order)], "test")
+
+    def test_multiplier_other_than_one_raises(self, rng):
+        m = 0.5 * _stochastic_block(rng, 6)
+        with pytest.raises(HypothesisViolatedError,
+                           match="test: no non-negative fixed point with multiplier one"):
+            perron_vector(m, "test")
+        with pytest.raises(HypothesisViolatedError, match="no non-negative fixed point"):
+            perron_vector(np.zeros((3, 3)), "test")
 
     def test_multiplier_is_the_spectral_radius(self, rng):
         for _ in range(20):
             m = random_indecomposable(rng, int(rng.integers(1, 12)), density=0.5)
-            _, multiplier = simplex_fixed_point(m, "test")
-            assert multiplier == pytest.approx(spectral_radius_oracle(m), rel=1e-9)
+            assert spectral_radius(m) == pytest.approx(spectral_radius_oracle(m), rel=1e-9)
 
     def test_cap_raises_instead_of_returning_the_last_iterate(self, monkeypatch):
-        _, a, m = FIXED_POINT_CASES[0]
+        _, a, _ = FIXED_POINT_CASES[0]
         monkeypatch.setattr(core, "FIXED_POINT_MAXITER", 3)
         with pytest.raises(NoConvergenceError, match="spectral radius iteration hit the cap"):
             spectral_radius(a)
-        with pytest.raises(NoConvergenceError, match="certificate price iteration hit the cap"):
-            simplex_fixed_point(m, "certificate price")
 
 
 class TestLeontief:

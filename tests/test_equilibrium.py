@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from ioequil import (
 from ioequil.errors import (
     DecomposableMinorError,
     HypothesisViolatedError,
+    PipelineError,
     ZeroColumnError,
     ZeroValueError,
 )
 
-from conftest import qp_enumeration_oracle, random_indecomposable, random_simplex
+from conftest import price_map, qp_enumeration_oracle, random_indecomposable, random_simplex
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -327,3 +330,35 @@ class TestAssembleEquilibrium:
                 assert np.all(state.p[rest] == 0.0)
                 expected = (b - state.b_bar) @ state.p_u / (b @ state.p_u)
                 assert state.excess_level == pytest.approx(max(expected, 0.0), abs=1e-12)
+
+
+class TestSparseInstances:
+    def test_verified_state_or_hypothesis_error(self):
+        # value tables as bench/gen.py builds them at 30% density: column sums
+        # in [0.35, 0.75] and supply 0.7 (E - A)^-1 c. Every state is checked
+        # against its own price map and the clearing equations
+        rng = np.random.default_rng(5)
+        outcomes = Counter()
+        for trial in range(200):
+            n = (4, 8)[trial % 2]
+            a = random_indecomposable(rng, n, density=0.3)
+            a *= rng.uniform(0.35, 0.75, n) / a.sum(axis=0)
+            b = 0.7 * np.linalg.solve(np.eye(n) - a, rng.uniform(0.5, 1.5, n))
+            try:
+                state = assemble_equilibrium(Technology(a), b)
+            except PipelineError as exc:
+                assert isinstance(exc.cause, HypothesisViolatedError), exc
+                assert "reconstruction" not in str(exc)
+                outcomes[str(exc.cause).split(" on ")[0]] += 1
+                continue
+            p = state.p
+            assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            assert abs(p.sum() - 1.0) < 1e-12
+            m = price_map(a, state.z)
+            assert np.max(np.abs(m @ p - p)) <= 1e-10 * np.max(p)
+            value = state.b_bar * p
+            terms = np.divide(value, a.T @ p, out=np.zeros(n), where=value != 0.0)
+            assert np.max(np.abs(a @ terms - state.b_bar)) <= 1e-8 * max(1.0, np.max(state.b_bar))
+            outcomes[state.mode] += 1
+        assert outcomes["support"] and outcomes["generalized"], outcomes
+        assert outcomes["price vanishes"] and outcomes["input cost vanishes"], outcomes

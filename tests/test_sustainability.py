@@ -3,11 +3,7 @@ import pytest
 
 from ioequil import Technology, check_sustainable, clearing_residual, load_table
 from ioequil.core import matrix_rank
-from ioequil.errors import (
-    NotProductiveError,
-    SingularUnresolvedError,
-    ZeroDenominatorError,
-)
+from ioequil.errors import NotProductiveError, ZeroDenominatorError
 
 from conftest import data_path, random_productive, spectral_radius_oracle
 
@@ -92,11 +88,17 @@ class TestCheckSustainable:
             assert np.max(np.abs(t.a @ verdict.b1 - x)) < 1e-6 * max(1.0, float(np.max(x)))
             assert np.all(verdict.margins > 0.0)
 
-    def test_singular_out_of_range_rejected(self, rng):
-        t = make_singular_productive(np.random.default_rng(7), 4)
-        # a generic right-hand side misses the rank-deficient column space
-        with pytest.raises(SingularUnresolvedError):
-            check_sustainable(t, np.array([1.0, 2.0, 3.0, 4.0]))
+    def test_singular_out_of_range_rejected(self):
+        # rows 0 and 1 of A are equal, so (1, -1, 0, 0)^T A = 0 exactly: every
+        # A b1 has equal first two entries, x = (1, 2, 3, 4) has not, no b1
+        # exists and the mode is not sustainable
+        a = np.random.default_rng(7).uniform(0.1, 1.0, (4, 4))
+        a[1] = a[0]
+        t = Technology(a * (0.6 / spectral_radius_oracle(a)))
+        assert np.array_equal(t.a[0], t.a[1]) and matrix_rank(t.a) == 3
+        verdict = check_sustainable(t, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert not verdict.sustainable
+        assert verdict.b1 is None and verdict.prices is None
 
 
 class TestSingularBranch:
