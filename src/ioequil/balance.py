@@ -31,6 +31,7 @@ from .errors import (
     NoConvergenceError,
     NotInConeError,
     NotInteriorError,
+    NumericalError,
     ZeroImageError,
 )
 
@@ -49,7 +50,9 @@ def balanced_eigenvector(b1) -> np.ndarray:
     Row-normalizing ``b1`` turns the system into the stochastic fixed point
     ``E^T p = p`` with ``E = b1 / row_sums``, whose multiplier is one by
     construction; ``core.perron_vector`` solves it directly, and
-    ``d = p / row_sums`` renormalized to sum one.
+    ``d = p / row_sums`` renormalized to sum one. A balance residual above
+    ``BALANCE_RESIDUAL_TOL`` (times the largest entry, at least one) at that
+    solution raises NumericalError.
 
     For a decomposable matrix the solution is not unique; the uniform vector
     is returned as the canonical representative when it solves the system,
@@ -76,8 +79,12 @@ def balanced_eigenvector(b1) -> np.ndarray:
     p = perron_vector((b1 / row_sums[:, None]).T, "balanced weights")
     d = p / row_sums
     d /= d.sum()
-    if balance_residual(b1, d) > BALANCE_RESIDUAL_TOL * scale:
-        raise NoConvergenceError("balance residual above tolerance at the Perron solution")
+    residual = balance_residual(b1, d)
+    if residual > BALANCE_RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"balance residual {residual:.3e} above tolerance {BALANCE_RESIDUAL_TOL * scale:.3e} "
+            "at the Perron solution"
+        )
     return d
 
 

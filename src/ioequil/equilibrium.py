@@ -267,7 +267,9 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
     Runs the quadratic program, derives the binding set, builds prices on
     the binding support when the solution allows it (falling back to the
     real-consumption fixed point otherwise), fills generalized prices with
-    input costs on slack rows, and evaluates the excess-supply level.
+    input costs on slack rows, and evaluates the excess-supply level. The
+    real consumption b_bar is A z on slack rows and exactly b on binding
+    rows.
     """
     b = _vector(b, "supply vector")
     try:
@@ -304,7 +306,9 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
         p_u = p
         mode = "generalized"
 
+    # binding markets clear by definition: report their supply, not the rounding of A z
     b_bar = t.a @ z_used
+    b_bar[idx] = b[idx]
     try:
         level = excess_supply(b, np.minimum(b_bar, b), p_u)
     except ModelError as exc:

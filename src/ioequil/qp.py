@@ -7,6 +7,11 @@ The equality-constrained subproblems are solved by a null-space method
 singular; optimality is certified by a non-negative least-squares fit of
 the gradient to the active constraint normals, in the spirit of the
 Lawson-Hanson NNLS multiplier test.
+
+The iteration starts from the NNLS point y of min ||A y - b|| over y >= 0,
+scaled back into the feasible set: z = s y with s = min_k b_k / (A y)_k
+over the rows where A y is positive. Only the zero bounds of z start in the
+working set; a supply row the start touches enters through the ratio test.
 """
 
 from __future__ import annotations
@@ -40,16 +45,32 @@ class QPResult:
     binding_rows: tuple[int, ...]
 
 
-def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
-    """Solve the bounded least-squares program from the zero vertex.
+def _nnls(matrix: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """scipy's NNLS, with its iteration-cap RuntimeError typed as a stall."""
+    try:
+        return nnls(matrix, rhs)
+    except RuntimeError as exc:
+        raise SolverStallError(f"NNLS for the {what} failed: {exc}") from exc
 
-    Raises SolverStallError when the iteration cap of 100 (n + m + 2) is hit
-    or a degenerate working set cannot be improved.
+
+def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
+    """Solve the bounded least-squares program from the scaled NNLS point.
+
+    The start is z = s y (module docstring), or z = 0 when A y has no
+    positive entry. Raises SolverStallError when the iteration cap of
+    100 (n + m + 2) is hit, a degenerate working set cannot be improved or
+    an NNLS solve hits its own cap.
     """
     n, mvar = a.shape
     max_iter = 100 * (n + mvar + 2)
-    z = np.zeros(mvar)
-    fixed: set[int] = set(range(mvar))   # active bounds z_i = 0
+    y, _ = _nnls(a, b, "warm start")
+    image = a @ y
+    positive = image > 0.0
+    if np.any(positive):
+        z = float(np.min(b[positive] / image[positive])) * y
+    else:
+        z = np.zeros(mvar)
+    fixed: set[int] = set(np.flatnonzero(z == 0.0).tolist())   # active bounds z_i = 0
     rows: set[int] = set()               # active supply rows (A z)_k = b_k
     scale = max(1.0, float(np.max(np.abs(b))))
 
@@ -81,7 +102,7 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
                     break
                 raise SolverStallError("zero gradient expected with empty working set")
             normal_matrix = np.array(normals).T
-            _, kkt_residual = nnls(normal_matrix, gradient)
+            _, kkt_residual = _nnls(normal_matrix, gradient, "stationary-point certificate")
             if kkt_residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
                 break
             multipliers, *_ = np.linalg.lstsq(normal_matrix, gradient, rcond=None)

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from ioequil import ConeStatus, Technology
 from ioequil.balance import BALANCE_RESIDUAL_TOL, balance_residual
@@ -25,7 +26,13 @@ from ioequil.core import (
     is_indecomposable,
     matrix_rank,
 )
-from ioequil.errors import DecomposableError, DegenerateGeneratorsError, NoConvergenceError
+from ioequil.errors import (
+    DecomposableError,
+    DegenerateGeneratorsError,
+    NoConvergenceError,
+    SolverStallError,
+)
+from ioequil.qp import KKT_TOL, STEP_TOL, QPResult, _nullspace
 
 
 def data_path(name: str):
@@ -352,3 +359,102 @@ def solution_family_reference(c: np.ndarray, psi: np.ndarray):
         basis.append(z)
         w[:, pos] = col_products * y_star
     return subset, basis, w
+
+
+# Reference copy of the active-set loop as it ran before qp.solve_min_excess
+# started from the scaled NNLS point: the same loop from the zero vertex, with
+# every bound in the working set. It pins the warm start's optimum, binding
+# rows and iteration saving.
+
+def solve_min_excess_cold_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
+    """Solve the bounded least-squares program from the zero vertex.
+
+    Raises SolverStallError when the iteration cap of 100 (n + m + 2) is hit
+    or a degenerate working set cannot be improved.
+    """
+    n, mvar = a.shape
+    max_iter = 100 * (n + mvar + 2)
+    z = np.zeros(mvar)
+    fixed: set[int] = set(range(mvar))   # active bounds z_i = 0
+    rows: set[int] = set()               # active supply rows (A z)_k = b_k
+    scale = max(1.0, float(np.max(np.abs(b))))
+
+    for it in range(max_iter):
+        free = [i for i in range(mvar) if i not in fixed]
+        active_rows = sorted(rows)
+        direction = np.zeros(mvar)
+        if free:
+            a_free = a[:, free]
+            u_current = z[free]
+            row_block = a_free[active_rows, :] if active_rows else np.zeros((0, len(free)))
+            null_basis = _nullspace(row_block)
+            if null_basis.shape[1] > 0:
+                v, *_ = np.linalg.lstsq(a_free @ null_basis, b - a_free @ u_current, rcond=None)
+                direction[free] = null_basis @ v
+
+        if np.max(np.abs(direction)) <= STEP_TOL * scale:
+            gradient = 2.0 * a.T @ (a @ z - b)
+            normals = []
+            for i in sorted(fixed):
+                e = np.zeros(mvar)
+                e[i] = 1.0
+                normals.append(e)
+            for k in active_rows:
+                normals.append(-a[k, :])
+            if not normals:
+                kkt_residual = float(np.linalg.norm(gradient))
+                if kkt_residual <= KKT_TOL * scale:
+                    break
+                raise SolverStallError("zero gradient expected with empty working set")
+            normal_matrix = np.array(normals).T
+            _, kkt_residual = nnls(normal_matrix, gradient)
+            if kkt_residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
+                break
+            multipliers, *_ = np.linalg.lstsq(normal_matrix, gradient, rcond=None)
+            worst = int(np.argmin(multipliers))
+            if multipliers[worst] >= -1e-12:
+                raise SolverStallError("degenerate working set: no droppable constraint")
+            n_fixed = len(fixed)
+            if worst < n_fixed:
+                fixed.remove(sorted(fixed)[worst])
+            else:
+                rows.remove(active_rows[worst - n_fixed])
+            continue
+
+        # ratio test to the nearest blocking constraint
+        alpha = 1.0
+        block: tuple[str, int] | None = None
+        for i in free:
+            if direction[i] < -1e-15:
+                limit = z[i] / -direction[i]
+                if limit < alpha - 1e-15:
+                    alpha, block = limit, ("bound", i)
+        image_step = a @ direction
+        image = a @ z
+        for k in range(n):
+            if k in rows:
+                continue
+            if image_step[k] > 1e-15:
+                limit = (b[k] - image[k]) / image_step[k]
+                if limit < alpha - 1e-15:
+                    alpha, block = limit, ("row", k)
+        z = z + max(alpha, 0.0) * direction
+        z[z < 0.0] = 0.0
+        if block is not None:
+            kind, idx = block
+            if kind == "bound":
+                fixed.add(idx)
+                z[idx] = 0.0
+            else:
+                rows.add(idx)
+    else:
+        raise SolverStallError(f"active-set iteration cap {max_iter} reached")
+
+    objective = float(np.sum((b - a @ z) ** 2))
+    return QPResult(
+        z=z,
+        objective=objective,
+        kkt_residual=float(kkt_residual),
+        iterations=it + 1,
+        binding_rows=tuple(sorted(rows)),
+    )

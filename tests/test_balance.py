@@ -10,7 +10,7 @@ from ioequil import (
     support_partition,
 )
 from ioequil.balance import balance_residual
-from ioequil.errors import DecomposableError, NotInConeError, ZeroImageError
+from ioequil.errors import DecomposableError, NotInConeError, NumericalError, ZeroImageError
 
 from conftest import balanced_eigenvector_reference, random_indecomposable, two_block
 
@@ -54,6 +54,23 @@ class TestBalancedEigenvector:
         for b1 in cases:
             d = balanced_eigenvector(b1)
             assert np.max(np.abs(d - balanced_eigenvector_reference(b1))) <= 1e-8
+
+    def test_residual_above_tolerance_is_numerical(self, monkeypatch):
+        # no loop is left, so a bad residual is a numerical failure that
+        # states its figures, not an iteration cap
+        from ioequil import balance
+
+        original = balance.perron_vector
+
+        def perturbed(m, what):
+            p = original(m, what)
+            p[0] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(balance, "perron_vector", perturbed)
+        with pytest.raises(NumericalError, match=r"balance residual 6\.667e-07 above tolerance 2\.000e-10") as info:
+            balanced_eigenvector([[0.0, 2.0], [1.0, 0.0]])
+        assert type(info.value) is NumericalError
 
 
 class TestSupplyDemandFactor:

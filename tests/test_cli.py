@@ -302,6 +302,10 @@ class TestToy3ExactOracles:
         code, doc = run_json(capsys, ["equilibrium", str(data_path("toy3.csv")), "--format", "json"])
         assert code == 0
         assert doc["results"]["prices"] == [0.0, 0.5, 0.5]
+        # A z = b on every row, so every market clears and nothing is unsold
+        assert doc["results"]["binding"] == [1, 2, 3]
+        assert doc["results"]["real_consumption"] == doc["results"]["supply"]
+        assert doc["results"]["excess_level"] == 0.0
 
     def test_best_pi(self, capsys):
         # A d = s * d holds at d = (1/3, 1/3, 1/3) (A's rows sum to its column
@@ -398,6 +402,37 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "equilibrium", explode)
         assert cli.main(["equilibrium", str(toy2)]) == 1
+
+    def test_nnls_cap_in_the_program_exits_three(self, capsys, monkeypatch):
+        # toy3 runs the minimum-excess program; scipy's NNLS cap is an
+        # untyped RuntimeError that must leave as a typed stage failure
+        from ioequil import qp
+
+        def capped(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(qp, "nnls", capped)
+        assert main(["equilibrium", str(data_path("toy3.csv")), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stage 'min-excess-qp': NNLS for the warm start failed")
+        assert "Traceback" not in captured.err
+
+    def test_balance_residual_failure_exits_three(self, capsys, toy2, monkeypatch):
+        from ioequil import balance
+
+        original = balance.perron_vector
+
+        def perturbed(m, what):
+            p = original(m, what)
+            p[0] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(balance, "perron_vector", perturbed)
+        assert main(["tax", str(toy2), "best", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: balance residual ")
 
     def test_fully_taxed_sector_is_input_error(self, tmp_path):
         path = tmp_path / "full_tax.csv"

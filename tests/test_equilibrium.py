@@ -331,6 +331,19 @@ class TestAssembleEquilibrium:
                 expected = (b - state.b_bar) @ state.p_u / (b @ state.p_u)
                 assert state.excess_level == pytest.approx(max(expected, 0.0), abs=1e-12)
 
+    def test_binding_rows_report_their_supply_exactly(self, rng):
+        # binding markets clear by definition, so b_bar carries b there bit
+        # for bit, not the rounding of A z
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            t = Technology(rng.uniform(0.02, 1.0, (n, n)))
+            b = rng.uniform(0.3, 2.5, n)
+            state = assemble_equilibrium(t, b)
+            idx = list(state.binding)
+            assert np.array_equal(state.b_bar[idx], b[idx])
+            rest = list(state.slack)
+            assert np.array_equal(state.b_bar[rest], (t.a @ state.z)[rest])
+
 
 class TestSparseInstances:
     def test_verified_state_or_hypothesis_error(self):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from ioequil.errors import SolverStallError
 from ioequil.qp import solve_min_excess
 
-from conftest import qp_enumeration_oracle, random_indecomposable
+from conftest import (
+    qp_enumeration_oracle,
+    random_indecomposable,
+    solve_min_excess_cold_reference,
+    two_block,
+)
 
 
 def test_worked_partial_clearing_example():
@@ -18,7 +24,8 @@ def test_worked_partial_clearing_example():
 
 
 def test_certificate_not_recomputed_after_the_loop(monkeypatch):
-    # one NNLS per stationary point (z = 0, then z = (10, 0)); the residual of
+    # one NNLS for the warm start y = (14, 0), scaled to z = (10, 0) where
+    # supply row 0 binds, then one at that stationary point; the residual of
     # the last one is the reported certificate
     from ioequil import qp
 
@@ -85,3 +92,74 @@ def test_kkt_certificate_on_larger_instances(rng):
         result = solve_min_excess(a, b)
         assert result.kkt_residual < 1e-10
         assert np.max(a @ result.z - b) <= 1e-10 * max(1.0, float(np.max(b)))
+
+
+@pytest.mark.parametrize("failing_call, what", [(1, "warm start"), (2, "stationary-point certificate")])
+def test_nnls_cap_is_a_typed_stall(monkeypatch, failing_call, what):
+    from ioequil import qp
+
+    calls = []
+    original = qp.nnls
+
+    def capped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "nnls", capped)
+    with pytest.raises(SolverStallError, match=f"NNLS for the {what} failed"):
+        solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
+
+
+def test_zero_image_starts_at_the_zero_vertex():
+    # A y = 0 for every y: the scaled NNLS point does not exist, the loop
+    # starts at z = 0 and certifies it there
+    a = np.zeros((2, 2))
+    b = np.array([1.0, 2.0])
+    result = solve_min_excess(a, b)
+    assert np.array_equal(result.z, [0.0, 0.0])
+    assert result.objective == 5.0
+    assert result.iterations == 1
+
+
+def value_table_supply(rng, a):
+    """Supply 0.7 (E - A)^-1 c of a value table, as bench/gen.py taxes it."""
+    n = a.shape[0]
+    return 0.7 * np.linalg.solve(np.eye(n) - a, rng.uniform(0.5, 1.5, n))
+
+
+def column_sums_in_value_units(rng, a):
+    return a * (rng.uniform(0.35, 0.75, a.shape[0]) / a.sum(axis=0))
+
+
+REFERENCE_INSTANCES = {
+    "dense n=60": lambda rng: column_sums_in_value_units(rng, random_indecomposable(rng, 60)),
+    "30% density n=60": lambda rng: column_sums_in_value_units(
+        rng, random_indecomposable(rng, 60, density=0.3)),
+    "two 40-sector blocks at 1e-3": lambda rng: two_block(rng, 80, 40, 1e-3),
+}
+
+
+@pytest.mark.parametrize("kind", REFERENCE_INSTANCES)
+def test_matches_cold_start_reference(kind):
+    rng = np.random.default_rng(list(REFERENCE_INSTANCES).index(kind))
+    for _ in range(2):
+        a = REFERENCE_INSTANCES[kind](rng)
+        b = value_table_supply(rng, a)
+        warm = solve_min_excess(a, b)
+        cold = solve_min_excess_cold_reference(a, b)
+        assert cold.binding_rows and cold.iterations > 50   # a real active-set path
+        assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+        assert np.max(np.abs(warm.z - cold.z)) <= 1e-10 * max(1.0, float(np.max(cold.z)))
+        assert warm.binding_rows == cold.binding_rows
+        assert warm.kkt_residual < 1e-10
+
+
+def test_warm_start_saves_three_quarters_of_the_iterations():
+    rng = np.random.default_rng(60)
+    a = REFERENCE_INSTANCES["dense n=60"](rng)
+    b = value_table_supply(rng, a)
+    warm = solve_min_excess(a, b)
+    cold = solve_min_excess_cold_reference(a, b)
+    assert 4 * warm.iterations < cold.iterations
