@@ -9,6 +9,7 @@ JSON). Exit codes: 0 success, 1 analysis-negative, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .errors import (
     ParseError,
     PipelineError,
 )
-from .reporting import Report, digest_file
+from .reporting import Report, digest_bytes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,7 +44,9 @@ def _parse_comma_list(text: str, flag: str) -> np.ndarray:
         raise ParseError(f"{flag}: expected a comma-separated list of numbers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=real_economy.DEFAULT_BALANCE_TOL,
                         help="relative balance tolerance for table validation")
@@ -88,12 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> real_economy.IOTable:
-    return real_economy.load_table(args.table, balance_tol=args.tol)
+def _load(args, balance_tol: float) -> tuple[real_economy.IOTable, str]:
+    """The validated table and the SHA-256 of its bytes, from one read of the file."""
+    data = Path(args.table).read_bytes()
+    table = real_economy.loads_table(real_economy.decode_table(data), balance_tol)
+    return table, digest_bytes(data)
 
 
 def cmd_check(args) -> tuple[Report, int]:
-    table = real_economy.load_table(args.table, balance_tol=float("inf"))
+    table, digest = _load(args, float("inf"))
     tech = table.technology
     failures: list[str] = []
 
@@ -120,12 +126,12 @@ def cmd_check(args) -> tuple[Report, int]:
         "column_balance_gap": col_gap,
         "pass": not failures,
     }
-    report = Report("check", digest_file(args.table), results, tuple(failures))
+    report = Report("check", digest, results, tuple(failures))
     return report, EXIT_OK if not failures else EXIT_NEGATIVE
 
 
 def cmd_sustainable(args) -> tuple[Report, int]:
-    table = _load(args)
+    table, digest = _load(args, args.tol)
     tech = table.technology
     verdict = sustainability.check_sustainable(tech, table.big_x)
     analysis = real_economy.analyze(table)
@@ -152,13 +158,13 @@ def cmd_sustainable(args) -> tuple[Report, int]:
             "interval": list(bounds.beta_interval) if bounds.beta_interval else None,
             "witness_beta": bounds.witness_beta,
         }
-    report = Report("sustainable", digest_file(args.table), results)
+    report = Report("sustainable", digest, results)
     positive = verdict.sustainable and analysis.sustainable_at_unit_prices
     return report, EXIT_OK if positive else EXIT_NEGATIVE
 
 
 def cmd_equilibrium(args) -> tuple[Report, int]:
-    table = _load(args)
+    table, digest = _load(args, args.tol)
     analysis = real_economy.analyze(table)
     state = analysis.equilibrium
     results: dict = {
@@ -179,12 +185,12 @@ def cmd_equilibrium(args) -> tuple[Report, int]:
             "scale": point.scale,
             "z": _vector_list(point.z),
         }
-    report = Report("equilibrium", digest_file(args.table), results)
+    report = Report("equilibrium", digest, results)
     return report, EXIT_OK
 
 
 def cmd_tax(args) -> tuple[Report, int]:
-    table = _load(args)
+    table, digest = _load(args, args.tol)
     tech = table.technology
     code = EXIT_OK
     if args.mode == "existing":
@@ -220,12 +226,12 @@ def cmd_tax(args) -> tuple[Report, int]:
             "X0": _vector_list(system.x0),
             "final_basis": _vector_list(system.base),
         }
-    report = Report("tax", digest_file(args.table), results)
+    report = Report("tax", digest, results)
     return report, code
 
 
 def cmd_aggregate(args) -> tuple[Report, int]:
-    table = _load(args)
+    table, digest = _load(args, args.tol)
     amap = aggregation.AggregationMap.from_file(args.map)
     fine = table.technology
     prices = np.ones(table.n)
@@ -247,7 +253,7 @@ def cmd_aggregate(args) -> tuple[Report, int]:
         "sum_Delta": float(np.sum(coarse.delta)),
         "relative_prices": _vector_list(p_hat),
     }
-    report = Report("aggregate", digest_file(args.table), results)
+    report = Report("aggregate", digest, results)
 
     if args.out is not None:
         names = tuple(f"c{k + 1}" for k in range(coarse.n))

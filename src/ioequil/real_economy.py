@@ -98,12 +98,98 @@ def validate_table(table: IOTable, balance_tol: float = DEFAULT_BALANCE_TOL) -> 
         )
 
 
+def _split_rows(text: str) -> list[tuple[str, str | list[str]]]:
+    """Non-blank rows as (first cell, the cells after it).
+
+    Without quotes or carriage returns a row is a plain comma split of its
+    line, so the cells after the first stay one unsplit string (an empty list
+    when there are none). Otherwise ``csv`` applies its quoting rules to
+    every row. A row is blank when all its cells are whitespace.
+    """
+    if '"' in text or "\r" in text:
+        rows = csv.reader(io.StringIO(text))
+        return [(row[0], row[1:]) for row in rows if row and any(cell.strip() for cell in row)]
+    out = []
+    for line in text.split("\n"):
+        first, comma, rest = line.partition(",")
+        if first.strip() or rest.replace(",", "").strip():
+            out.append((first, rest if comma else []))
+    return out
+
+
+def _cells(rest: str | list[str]) -> list[str]:
+    return rest.split(",") if isinstance(rest, str) else rest
+
+
+def _scan_rows(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flow block and footers read row by row, one ``float`` per cell.
+
+    Checks each row's label and cell count before its cells, in file order,
+    and raises ParseError naming the first fault.
+    """
+    n = len(names)
+    flows = np.empty((n, n + 4))
+    footers = np.empty((2, n))
+    for k, (first, rest) in enumerate(rows):
+        label = first.strip()
+        if k < n:
+            if label != names[k]:
+                raise ParseError(f"data row {k + 1}: expected sector {names[k]!r}, got {label!r}")
+            where, out = f"row {names[k]!r}", flows[k]
+        else:
+            expected = ("T1", "Z1")[k - n]
+            if label != expected:
+                raise ParseError(f"footer row {k + 1}: expected label {expected!r}, got {label!r}")
+            where, out = f"footer {expected}", footers[k - n]
+        cells = _cells(rest)
+        if len(cells) != out.shape[0]:
+            raise ParseError(f"{where}: expected {out.shape[0]} values, got {len(cells)}")
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            try:
+                out[j] = float(cell)
+            except ValueError as exc:
+                raise ParseError(f"{where}, column {j + 1}: not a number: {cell!r}") from exc
+    return flows, footers
+
+
+def _read_numbers(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flow block (n x (n + 4)) and footers (2 x n) of the rows after the header.
+
+    With every label right, each block is one ``np.loadtxt`` call. It reads a
+    subset of the spellings ``float`` reads, to the same double, and a block
+    of the right shape has the right cell count in every row. Otherwise the
+    per-row scan words the first fault, or reads what only ``float`` takes.
+    ``comments=None`` keeps ``2#x`` an error.
+    """
+    n = len(names)
+    rests = [rest for _, rest in rows]
+    if ([first.strip() for first, _ in rows] == [*names, "T1", "Z1"]
+            and all(isinstance(rest, str) for rest in rests) and "" not in rests):
+        try:
+            flows = np.loadtxt(rests[:n], delimiter=",", comments=None, ndmin=2)
+            footers = np.loadtxt(rests[n:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if flows.shape == (n, n + 4) and footers.shape == (2, n):
+                return flows, footers
+    return _scan_rows(rows, names)
+
+
 def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
-    """Parse a table from CSV text and validate it."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
+    """Parse a table from CSV text and validate it.
+
+    The numbers come from numpy's C parser, one ``np.loadtxt`` call for the
+    flow block and one for the footers. A per-cell ``float`` scan runs only
+    when ``loadtxt`` refuses a block: it names the bad cell, or it accepts a
+    spelling ``float`` reads and ``loadtxt`` does not, such as ``1_000``.
+    Text with quotes or carriage returns is split by ``csv`` and scanned.
+    """
+    rows = _split_rows(text)
     if not rows:
         raise ParseError("empty table")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in (rows[0][0], *_cells(rows[0][1]))]
     if header[0] != "sector":
         raise ParseError(f"header must start with 'sector', got {header[0]!r}")
     if len(header) < 6:
@@ -112,45 +198,18 @@ def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
         raise ParseError(f"header must end with C,E,I,X, got {header[-4:]}")
     names = tuple(header[1:-4])
     n = len(names)
-    if n == 0:
-        raise ParseError("no sector names in header")
     if len(rows) != n + 3:
         raise ParseError(f"expected {n} data rows plus T1 and Z1 footers, got {len(rows) - 1} rows")
 
-    def parse_floats(cells: list[str], where: str, expect: int) -> np.ndarray:
-        if len(cells) != expect:
-            raise ParseError(f"{where}: expected {expect} values, got {len(cells)}")
-        out = np.empty(expect)
-        for j, cell in enumerate(cells):
-            try:
-                out[j] = float(cell)
-            except ValueError as exc:
-                raise ParseError(f"{where}, column {j + 1}: not a number: {cell!r}") from exc
-        return out
-
-    z = np.empty((n, n))
-    trailing = np.empty((n, 4))
-    for k in range(n):
-        row = [cell.strip() for cell in rows[1 + k]]
-        if row[0] != names[k]:
-            raise ParseError(f"data row {k + 1}: expected sector {names[k]!r}, got {row[0]!r}")
-        values = parse_floats(row[1:], f"row {names[k]!r}", n + 4)
-        z[k, :] = values[:n]
-        trailing[k, :] = values[n:]
-
-    footers = {}
-    for offset, label in ((n + 1, "T1"), (n + 2, "Z1")):
-        row = [cell.strip() for cell in rows[offset]]
-        if row[0] != label:
-            raise ParseError(f"footer row {offset}: expected label {label!r}, got {row[0]!r}")
-        footers[label] = parse_floats(row[1:], f"footer {label}", n)
-
+    flows, footers = _read_numbers(rows[1:], names)
+    # contiguous copies: the same memory layout the per-cell reader produced
+    trailing = np.ascontiguousarray(flows[:, n:])
     table = IOTable(
         names=names,
-        z=z,
+        z=np.ascontiguousarray(flows[:, :n]),
         big_x=trailing[:, 3],
-        t1=footers["T1"],
-        z1=footers["Z1"],
+        t1=footers[0],
+        z1=footers[1],
         consumption=trailing[:, 0],
         exports=trailing[:, 1],
         imports=trailing[:, 2],
@@ -159,9 +218,14 @@ def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
     return table
 
 
+def decode_table(data: bytes) -> str:
+    """UTF-8 text of a table file with universal newlines, as ``read_text`` gives."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_table(path: str | Path, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
     """Load and validate a table from a CSV file."""
-    return loads_table(Path(path).read_text(encoding="utf-8"), balance_tol)
+    return loads_table(decode_table(Path(path).read_bytes()), balance_tol)
 
 
 def dumps_table(table: IOTable) -> str:

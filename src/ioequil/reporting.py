@@ -22,11 +22,6 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_file(path) -> str:
-    with open(path, "rb") as handle:
-        return digest_bytes(handle.read())
-
-
 def _canonical(value) -> str:
     if value is None:
         return "null"

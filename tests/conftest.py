@@ -8,6 +8,8 @@ active-set enumeration).
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from importlib import resources
 
@@ -30,9 +32,11 @@ from ioequil.errors import (
     DecomposableError,
     DegenerateGeneratorsError,
     NoConvergenceError,
+    ParseError,
     SolverStallError,
 )
 from ioequil.qp import KKT_TOL, STEP_TOL, QPResult, _nullspace
+from ioequil.real_economy import DEFAULT_BALANCE_TOL, IOTable, validate_table
 
 
 def data_path(name: str):
@@ -458,3 +462,68 @@ def solve_min_excess_cold_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
         iterations=it + 1,
         binding_rows=tuple(sorted(rows)),
     )
+
+
+# Reference copy of the table loader as it was before real_economy.loads_table
+# took its numbers from np.loadtxt: csv rows, stripped cells and one float()
+# per cell. It pins the new loader's arrays and every ParseError message.
+
+def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
+    """Parse a table from CSV text and validate it."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ParseError("empty table")
+    header = [cell.strip() for cell in rows[0]]
+    if header[0] != "sector":
+        raise ParseError(f"header must start with 'sector', got {header[0]!r}")
+    if len(header) < 6:
+        raise ParseError("header too short: need sector,<names...>,C,E,I,X")
+    if header[-4:] != ["C", "E", "I", "X"]:
+        raise ParseError(f"header must end with C,E,I,X, got {header[-4:]}")
+    names = tuple(header[1:-4])
+    n = len(names)
+    if n == 0:
+        raise ParseError("no sector names in header")
+    if len(rows) != n + 3:
+        raise ParseError(f"expected {n} data rows plus T1 and Z1 footers, got {len(rows) - 1} rows")
+
+    def parse_floats(cells: list[str], where: str, expect: int) -> np.ndarray:
+        if len(cells) != expect:
+            raise ParseError(f"{where}: expected {expect} values, got {len(cells)}")
+        out = np.empty(expect)
+        for j, cell in enumerate(cells):
+            try:
+                out[j] = float(cell)
+            except ValueError as exc:
+                raise ParseError(f"{where}, column {j + 1}: not a number: {cell!r}") from exc
+        return out
+
+    z = np.empty((n, n))
+    trailing = np.empty((n, 4))
+    for k in range(n):
+        row = [cell.strip() for cell in rows[1 + k]]
+        if row[0] != names[k]:
+            raise ParseError(f"data row {k + 1}: expected sector {names[k]!r}, got {row[0]!r}")
+        values = parse_floats(row[1:], f"row {names[k]!r}", n + 4)
+        z[k, :] = values[:n]
+        trailing[k, :] = values[n:]
+
+    footers = {}
+    for offset, label in ((n + 1, "T1"), (n + 2, "Z1")):
+        row = [cell.strip() for cell in rows[offset]]
+        if row[0] != label:
+            raise ParseError(f"footer row {offset}: expected label {label!r}, got {row[0]!r}")
+        footers[label] = parse_floats(row[1:], f"footer {label}", n)
+
+    table = IOTable(
+        names=names,
+        z=z,
+        big_x=trailing[:, 3],
+        t1=footers["T1"],
+        z1=footers["Z1"],
+        consumption=trailing[:, 0],
+        exports=trailing[:, 1],
+        imports=trailing[:, 2],
+    )
+    validate_table(table, balance_tol)
+    return table

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from ioequil import load_table, loads_table, tax_family
+import ioequil
+from ioequil import cli, load_table, loads_table, tax_family
 from ioequil.cli import main
 from ioequil.real_economy import analyze
 from ioequil.reporting import validate_report
@@ -484,3 +488,41 @@ class TestDeterminism:
         main(["check", str(toy2), "--format", "json", "--out", str(out)])
         printed = capsys.readouterr().out
         assert out.read_text() == printed
+
+
+class TestOneReadOneParser:
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_carriage_return_tables(self, capsys, tmp_path, newline):
+        lf = data_path("toy3.csv").read_bytes()
+        path = tmp_path / "toy3.csv"
+        path.write_bytes(lf.replace(b"\n", newline))
+        code, report = run_json(capsys, ["tax", str(path), "best", "--format", "json"])
+        _, reference = run_json(capsys, ["tax", str(data_path("toy3.csv")), "best", "--format", "json"])
+        assert code == 0
+        assert report["inputs_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report["results"] == reference["results"]
+        assert load_table(path).z.tobytes() == load_table(data_path("toy3.csv")).z.tobytes()
+
+    def test_invalid_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        # the position counts bytes of the whole file, carriage returns included
+        path.write_bytes(b"sector,a\r\n" * 3000 + b"\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 30000: invalid start byte\n")
+
+    def test_parser_built_once_and_reused(self, capsys, toy2, toy3):
+        runs = [
+            ["tax", str(toy3), "best", "--format", "json", "--tol", "1e-3"],
+            ["sustainable", str(toy2), "--tax-bounds", "--format", "json"],
+            ["check", str(toy3)],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ioequil.__file__))}
+        cli.build_parser.cache_clear()
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "ioequil.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli.build_parser.cache_info().misses == 1

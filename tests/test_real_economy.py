@@ -11,10 +11,11 @@ from ioequil import (
     loads_table,
     value_added_tax,
 )
+from ioequil import real_economy
 from ioequil.errors import BalanceError, ParseError
 from ioequil.real_economy import IOTable, balance_gaps
 
-from conftest import data_path
+from conftest import data_path, loads_table_reference, random_indecomposable
 
 
 def table_from_value_added_system(rng, n):
@@ -121,6 +122,161 @@ class TestLoader:
         )
         with pytest.raises(ParseError):
             loads_table(text)
+
+
+TOY = (
+    "sector,a,b,C,E,I,X\n"
+    "a,0.2,0.3,0.5,0,0,1\n"
+    "b,0.3,0.2,0.5,0,0,1\n"
+    "T1,0.25,0.25\n"
+    "Z1,0.25,0.25\n"
+)
+
+FIELDS = ("z", "big_x", "t1", "z1", "consumption", "exports", "imports")
+
+
+def edit(*pairs: tuple[str, str]) -> str:
+    text = TOY
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return text
+
+
+# (case, text, exact message): the wording and the order in which rows are read
+PARSE_ERRORS = [
+    ("empty text", "", "empty table"),
+    ("blank rows only", "\n  \n,,,\n , \n", "empty table"),
+    ("bad header start", edit(("sector,", "industry,")),
+     "header must start with 'sector', got 'industry'"),
+    ("header without a comma", "sector\n", "header too short: need sector,<names...>,C,E,I,X"),
+    ("short header", "sector,C,E,I,X\n", "header too short: need sector,<names...>,C,E,I,X"),
+    ("missing C,E,I,X", edit(("C,E,I,X", "C,E,X,I")),
+     "header must end with C,E,I,X, got ['C', 'E', 'X', 'I']"),
+    ("wrong row count", edit(("Z1,0.25,0.25\n", "")),
+     "expected 2 data rows plus T1 and Z1 footers, got 3 rows"),
+    ("wrong sector label", edit(("b,0.3", "c,0.3")), "data row 2: expected sector 'b', got 'c'"),
+    ("extra cell in a data row", edit(("0,0,1\n", "0,0,1,7\n")), "row 'a': expected 6 values, got 7"),
+    ("missing cell in a data row", edit(("b,0.3,0.2,0.5,0,0,1", "b,0.3,0.2,0.5,0,1")),
+     "row 'b': expected 6 values, got 5"),
+    ("label only in a data row", edit(("b,0.3,0.2,0.5,0,0,1", "b")), "row 'b': expected 6 values, got 0"),
+    ("extra cell in a footer", edit(("T1,0.25,0.25", "T1,0.25,0.25,0")),
+     "footer T1: expected 2 values, got 3"),
+    ("missing cell in a footer", edit(("Z1,0.25,0.25", "Z1,0.25")), "footer Z1: expected 2 values, got 1"),
+    ("non-numeric cell in a data row", edit(("a,0.2,0.3", "a,0.2, half ")),
+     "row 'a', column 2: not a number: 'half'"),
+    ("non-numeric cell in a footer", edit(("Z1,0.25,0.25", "Z1,0.25,x")),
+     "footer Z1, column 2: not a number: 'x'"),
+    ("empty cell", edit(("b,0.3", "b,")), "row 'b', column 1: not a number: ''"),
+    ("wrong footer label", edit(("T1,", "TAXES,")), "footer row 3: expected label 'T1', got 'TAXES'"),
+    ("wrong second footer label", edit(("Z1,", "W,")), "footer row 4: expected label 'Z1', got 'W'"),
+    ("comment character", edit(("a,0.2", "a,2#x")), "row 'a', column 1: not a number: '2#x'"),
+    ("hex literal", edit(("a,0.2", "a,0x1")), "row 'a', column 1: not a number: '0x1'"),
+    ("quoted cell", edit(("a,0.2", 'a,"0,2"')), "row 'a', column 1: not a number: '0,2'"),
+    ("number before a later label", edit(("a,0.2", "a,x"), ("b,0.3", "c,0.3")),
+     "row 'a', column 1: not a number: 'x'"),
+    ("number before a later count", edit(("a,0.2", "a,x"), ("Z1,0.25,0.25", "Z1,0.25")),
+     "row 'a', column 1: not a number: 'x'"),
+    ("footer number before a later footer label", edit(("T1,0.25", "T1,x"), ("Z1,", "W,")),
+     "footer T1, column 1: not a number: 'x'"),
+    ("label before a number in its row", edit(("b,0.3", "c,x")), "data row 2: expected sector 'b', got 'c'"),
+    ("count before a number in its row", edit(("b,0.3,0.2,0.5,0,0,1", "b,x,0.2,0.5,0,1")),
+     "row 'b': expected 6 values, got 5"),
+]
+
+
+def seeded_table(rng, n: int, density: float) -> IOTable:
+    a = random_indecomposable(rng, n, density=density)
+    a *= rng.uniform(0.35, 0.75, n) / a.sum(axis=0)
+    big_x = rng.uniform(0.5, 20.0, n)
+    z = a * big_x[None, :]
+    delta = big_x - z.sum(axis=0)
+    return IOTable(
+        names=tuple(f"s{k + 1}" for k in range(n)), z=z, big_x=big_x,
+        t1=0.3 * delta, z1=0.7 * delta, consumption=big_x - z.sum(axis=1),
+        exports=np.zeros(n), imports=np.zeros(n),
+    )
+
+
+def assert_same_table(table: IOTable, reference: IOTable) -> None:
+    """Names equal and every array bit-identical (nan payloads and -0 included)."""
+    assert table.names == reference.names
+    for field in FIELDS:
+        got, want = getattr(table, field), getattr(reference, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+
+
+class TestLoaderEquivalence:
+    """The numpy reader returns what the per-cell reference loader returns."""
+
+    @pytest.mark.parametrize("n", [2, 10, 60, 400])
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_seeded_tables(self, n, density):
+        rng = np.random.default_rng([n, int(density * 10)])
+        text = dumps_table(seeded_table(rng, n, density))
+        assert_same_table(loads_table(text), loads_table_reference(text))
+
+    @pytest.mark.parametrize("name", ["toy2.csv", "toy2_overtaxed.csv", "toy3.csv"])
+    def test_toy_tables(self, name):
+        text = data_path(name).read_text(encoding="utf-8")
+        assert_same_table(loads_table(text), loads_table_reference(text))
+        assert_same_table(load_table(data_path(name)), loads_table_reference(text))
+
+    @pytest.mark.parametrize("cell, value", [
+        (" 1.5 ", 1.5), ("nan", np.nan), ("1e400", np.inf), ("1_000", 1000.0),
+        ("\uff11", 1.0), ("-0", -0.0), ("\xa02\u2003", 2.0), ("+iNfinity", np.inf),
+    ])
+    @pytest.mark.parametrize("row", ["a,", "T1,"])
+    def test_edge_cells(self, cell, value, row):
+        text = edit((row + "0.2" if row == "a," else row + "0.25", row + cell))
+        table = loads_table(text, balance_tol=float("inf"))
+        assert_same_table(table, loads_table_reference(text, balance_tol=float("inf")))
+        got = table.z[0, 0] if row == "a," else table.t1[0]
+        assert np.array_equal(got, value, equal_nan=True)
+        assert np.signbit(got) == np.signbit(value)
+
+    def test_quoted_name_with_comma(self):
+        text = (
+            "sector,\"farm, fish\",industry,C,E,I,X\n"
+            "\"farm, fish\",0.2,\"0.3\",0.5,0,0,1\n"
+            "industry,0.3,0.2,0.5,0,0,1\n"
+            "T1,0.25,0.25\nZ1,0.25,0.25\n"
+        )
+        table = loads_table(text)
+        assert table.names == ("farm, fish", "industry")
+        assert_same_table(table, loads_table_reference(text))
+
+    def test_blank_and_comma_only_rows(self):
+        text = "\n,,,\n" + TOY.replace("\nb,", "\n \n, ,\t,\nb,").replace("T1", "\n,,,,,,,\nT1") + "\n\n"
+        assert_same_table(loads_table(text), loads_table_reference(text))
+        assert_same_table(loads_table(text), loads_table(TOY))
+
+    @pytest.mark.parametrize("text", [TOY.replace("\n", "\r\n"), TOY.replace("\n", "\r\n") + "\r\n \r\n"])
+    def test_crlf_text(self, text):
+        assert_same_table(loads_table(text), loads_table_reference(text))
+
+    def test_plain_table_skips_the_per_cell_scan(self, monkeypatch):
+        text = dumps_table(seeded_table(np.random.default_rng(5), 60, 0.3))
+
+        def refuse(*args):
+            raise AssertionError("per-cell scan on a table numpy reads")
+        monkeypatch.setattr(real_economy, "_scan_rows", refuse)
+        loads_table(text)
+
+    @pytest.mark.parametrize("case, text, message", PARSE_ERRORS, ids=[c for c, _, _ in PARSE_ERRORS])
+    def test_reference_gives_the_same_message(self, case, text, message):
+        with pytest.raises(ParseError) as err:
+            loads_table_reference(text)
+        assert str(err.value) == message
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("case, text, message", PARSE_ERRORS, ids=[c for c, _, _ in PARSE_ERRORS])
+    def test_exact_message(self, case, text, message):
+        with pytest.raises(ParseError) as err:
+            loads_table(text)
+        assert str(err.value) == message
 
 
 class TestAnalyze:
