@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
     FIXED_POINT_TOL,
@@ -34,6 +33,7 @@ from .errors import (
     NumericalError,
     ZeroImageError,
 )
+from .qp import _nnls
 
 BALANCE_RESIDUAL_TOL = 1e-10
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -94,7 +94,8 @@ def supply_demand_factor(c, b) -> np.ndarray:
     Columns of ``b`` interior to the demand cone get the interior family
     representative at the coefficient centroid (hence strictly positive);
     boundary columns fall back to a non-negative least-squares fit.
-    Raises NotInConeError naming the first column outside the cone.
+    Raises NotInConeError naming the first column outside the cone, and
+    SolverStallError when an NNLS fit hits its iteration cap.
     """
     c = _matrix(c, "demand matrix")
     b = _matrix(b, "supply matrix")
@@ -111,7 +112,7 @@ def supply_demand_factor(c, b) -> np.ndarray:
             continue
         except NotInteriorError:
             pass
-        coeffs, residual = nnls(c, col)
+        coeffs, residual = _nnls(c, col, f"supply column {j}")
         if residual > 1e-9 * scale:
             raise NotInConeError(j)
         # a boundary column has exact zero coordinates; clear the NNLS dust
@@ -144,7 +145,8 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
     Factors B = C B1, solves the weighted balance system for the demand
     weights, and tests whether the weight vector lies in the cone spanned
     by the rows of C; the price vector is assembled from those cone
-    coefficients and verified against the clearing equations.
+    coefficients and verified against the clearing equations. An NNLS fit
+    that hits its iteration cap raises SolverStallError.
     """
     c = _matrix(c, "demand matrix")
     b = _matrix(b, "supply matrix")
@@ -162,7 +164,7 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
         return ClearingOutcome(None, "factor matrix decomposable with no canonical balance solution", b1, None)
 
     scale = max(1.0, float(np.max(np.abs(d))))
-    p, residual = nnls(c.T, d)
+    p, residual = _nnls(c.T, d, "clearing price weights")
     if residual > 1e-9 * scale:
         return ClearingOutcome(None, "balance weights outside the cone of demand rows", b1, d)
     total = p.sum()

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeneratorsError,
@@ -123,7 +121,9 @@ def matrix_rank(m, rtol: float = PIVOT_RTOL) -> int:
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return 0
-    r, _ = linalg.qr(a, mode="r", pivoting=True)
+    from scipy.linalg import qr
+
+    r, _ = qr(a, mode="r", pivoting=True)
     return int(np.count_nonzero(np.abs(np.diag(r)) > rtol * scale))
 
 
@@ -138,6 +138,8 @@ def is_indecomposable(t: Technology | np.ndarray) -> bool:
     a = t.a if isinstance(t, Technology) else _matrix(t)
     if a.shape[0] == 1:
         return bool(a[0, 0] > 0.0)
+    from scipy.sparse.csgraph import connected_components
+
     count, _ = connected_components(a > 0.0, directed=True, connection="strong")
     return count == 1
 
@@ -153,12 +155,14 @@ def perron_vector(m: np.ndarray, what: str) -> np.ndarray:
     non-negative and satisfy ``|M p - p| <= MULTIPLIER_TOL * max p``.
     Failures raise HypothesisViolatedError naming ``what``.
     """
+    from scipy.linalg.lapack import dgecon, dgesv
+
     p = np.zeros(m.shape[0])
     live = np.flatnonzero(np.any(m != 0.0, axis=1))
     if live.size:
         system = np.eye(live.size) - m[np.ix_(live, live)] + 1.0
-        lu, _, p[live], info = linalg.lapack.dgesv(system, np.ones(live.size))
-        if info != 0 or linalg.lapack.dgecon(lu, np.linalg.norm(system, 1))[0] <= PIVOT_RTOL:
+        lu, _, p[live], info = dgesv(system, np.ones(live.size))
+        if info != 0 or dgecon(lu, np.linalg.norm(system, 1))[0] <= PIVOT_RTOL:
             raise HypothesisViolatedError(f"{what}: the eigenvalue one is not simple")
     top = float(np.max(p))
     p[(p < 0.0) & (p >= -POSITIVE_TOL * top)] = 0.0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import SolverStallError
 
@@ -43,6 +42,13 @@ class QPResult:
     kkt_residual: float
     iterations: int
     binding_rows: tuple[int, ...]
+
+
+def nnls(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy's NNLS, imported on first call so that importing the package loads no scipy."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(matrix, rhs)
 
 
 def _nnls(matrix: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:

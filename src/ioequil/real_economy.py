@@ -104,11 +104,15 @@ def _split_rows(text: str) -> list[tuple[str, str | list[str]]]:
     Without quotes or carriage returns a row is a plain comma split of its
     line, so the cells after the first stay one unsplit string (an empty list
     when there are none). Otherwise ``csv`` applies its quoting rules to
-    every row. A row is blank when all its cells are whitespace.
+    every row, and a row it refuses raises ParseError. A row is blank when
+    all its cells are whitespace.
     """
     if '"' in text or "\r" in text:
         rows = csv.reader(io.StringIO(text))
-        return [(row[0], row[1:]) for row in rows if row and any(cell.strip() for cell in row)]
+        try:
+            return [(row[0], row[1:]) for row in rows if row and any(cell.strip() for cell in row)]
+        except csv.Error as exc:
+            raise ParseError(f"CSV line {rows.line_num}: {exc}") from exc
     out = []
     for line in text.split("\n"):
         first, comma, rest = line.partition(",")
@@ -219,8 +223,12 @@ def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
 
 
 def decode_table(data: bytes) -> str:
-    """UTF-8 text of a table file with universal newlines, as ``read_text`` gives."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    """UTF-8 text of a table file with universal newlines, as ``read_text`` gives.
+
+    A leading byte-order mark, which spreadsheet "CSV UTF-8" exports write,
+    is dropped.
+    """
+    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_table(path: str | Path, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     POSITIVE_TOL,
@@ -37,6 +36,13 @@ class SustainabilityVerdict:
     b1: np.ndarray | None
     prices: np.ndarray | None
     margins: np.ndarray | None
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on first call so that importing the package loads no scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray | None:

@@ -10,7 +10,13 @@ from ioequil import (
     support_partition,
 )
 from ioequil.balance import balance_residual
-from ioequil.errors import DecomposableError, NotInConeError, NumericalError, ZeroImageError
+from ioequil.errors import (
+    DecomposableError,
+    NotInConeError,
+    NumericalError,
+    SolverStallError,
+    ZeroImageError,
+)
 
 from conftest import balanced_eigenvector_reference, random_indecomposable, two_block
 
@@ -104,6 +110,29 @@ class TestSupplyDemandFactor:
         with pytest.raises(NotInConeError) as err:
             supply_demand_factor(c, np.array([[1.0], [10.0]]))
         assert err.value.column == 0
+
+
+@pytest.mark.parametrize("solve, failing_call, what", [
+    (lambda: supply_demand_factor([[1.0, 2.0], [2.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]), 1, "supply column 0"),
+    (lambda: supply_demand_factor([[1.0, 2.0], [2.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]), 2, "supply column 1"),
+    # three boundary columns in the factor, then the price weights
+    (lambda: clearing_equilibrium(np.eye(3), np.eye(3)), 4, "clearing price weights"),
+], ids=["factor-column-0", "factor-column-1", "clearing-weights"])
+def test_nnls_cap_is_a_typed_stall(monkeypatch, solve, failing_call, what):
+    from ioequil import qp
+
+    calls = []
+    original = qp.nnls
+
+    def capped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "nnls", capped)
+    with pytest.raises(SolverStallError, match=f"NNLS for the {what} failed"):
+        solve()
 
 
 class TestClearingEquilibrium:

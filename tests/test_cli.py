@@ -526,3 +526,47 @@ class TestOneReadOneParser:
                                    capture_output=True, text=True, env=env)
             assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert cli.build_parser.cache_info().misses == 1
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "toy2.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data_path("toy2.csv").read_bytes())
+        code, report = run_json(capsys, ["check", str(path), "--format", "json"])
+        _, reference = run_json(capsys, ["check", str(data_path("toy2.csv")), "--format", "json"])
+        assert code == 0
+        assert report.pop("inputs_digest") == hashlib.sha256(path.read_bytes()).hexdigest()
+        reference.pop("inputs_digest")
+        assert report == reference
+
+    def test_oversized_quoted_cell_exit_two(self, capsys, tmp_path):
+        # a quote sends the rows through csv, whose field limit is 131,072 characters
+        path = tmp_path / "long.csv"
+        path.write_text('sector,"a",C,E,I,X\na,' + "1" * 200_000 + ",0,0,0,1\nT1,0\nZ1,0\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: CSV line 2: field larger than field limit (131072)\n"
+
+
+def _scipy_modules_after(code: str, *argv: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """Run ``code`` in a fresh interpreter; its stderr lists the scipy modules loaded at exit."""
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+             " file=sys.stderr))\n" + code)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ioequil.__file__))}
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+    return done, done.stderr.split()
+
+
+class TestImportCost:
+    # scipy costs several times numpy's import; each command loads only the
+    # parts of it that it calls
+    def test_cli_import_loads_no_scipy(self):
+        done, loaded = _scipy_modules_after("import ioequil.cli")
+        assert done.returncode == 0
+        assert loaded == []
+
+    def test_aggregate_loads_no_scipy_optimize(self):
+        done, loaded = _scipy_modules_after(
+            "from ioequil.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "aggregate", str(data_path("toy3.csv")), str(data_path("toy3to2.map")), "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["command"] == "aggregate"
+        assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]

@@ -278,6 +278,14 @@ class TestParseErrors:
             loads_table(text)
         assert str(err.value) == message
 
+    def test_lone_carriage_returns_are_a_parse_error(self):
+        # csv refuses a CR inside what it reads as one line; files never get
+        # here, since decode_table turns every CR into LF first
+        with pytest.raises(ParseError) as err:
+            loads_table(TOY.replace("\n", "\r"))
+        assert str(err.value) == ("CSV line 1: new-line character seen in unquoted field"
+                                  " - do you need to open the file in universal-newline mode?")
+
 
 class TestAnalyze:
     def test_symmetric_toy_is_sustainable(self):
