@@ -145,8 +145,10 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
     Factors B = C B1, solves the weighted balance system for the demand
     weights, and tests whether the weight vector lies in the cone spanned
     by the rows of C; the price vector is assembled from those cone
-    coefficients and verified against the clearing equations. An NNLS fit
-    that hits its iteration cap raises SolverStallError.
+    coefficients (the interior family representative where the NNLS
+    coefficients have zeros) and verified against the clearing equations.
+    A price that is not strictly positive is reported as not cleared. An
+    NNLS fit that hits its iteration cap raises SolverStallError.
     """
     c = _matrix(c, "demand matrix")
     b = _matrix(b, "supply matrix")
@@ -167,9 +169,21 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
     p, residual = _nnls(c.T, d, "clearing price weights")
     if residual > 1e-9 * scale:
         return ClearingOutcome(None, "balance weights outside the cone of demand rows", b1, d)
+    # NNLS ends on a vertex of the solution set: clear its dust, and where
+    # that leaves a zero price look for a strictly positive solution, which
+    # exists when the weights are interior to the cone of some rows of C
+    p[p <= POSITIVE_TOL * scale] = 0.0
+    if np.any(p == 0.0):
+        try:
+            family = positive_solution_family(c.T, d)
+            p = family.combine(family.centroid_gamma())
+        except NotInteriorError:
+            pass
     total = p.sum()
     if total <= 0.0:
         return ClearingOutcome(None, "assembled price vector is zero", b1, d)
+    if np.any(p == 0.0):
+        return ClearingOutcome(None, "assembled price vector is not strictly positive", b1, d)
     p = p / total
 
     denom = c.T @ p

@@ -156,6 +156,25 @@ class TestClearingEquilibrium:
         with pytest.raises(NotInConeError):
             clearing_equilibrium(c, np.array([[1.0, 2.0], [10.0, 1.0]]))
 
+    def test_price_on_the_simplex_boundary_is_not_cleared(self):
+        # the only clearing price is (0, 1); NNLS returns it with dust in the
+        # first coordinate, which must not pass for a strictly positive price
+        c = np.array([[1.0, 2.0], [2.0, 1.0]])
+        outcome = clearing_equilibrium(c, np.array([[3.0, 1.5], [3.0, 1.5]]))
+        assert not outcome.cleared
+        assert outcome.condition == "assembled price vector is not strictly positive"
+
+    def test_zero_nnls_price_replaced_by_a_strictly_positive_one(self):
+        # C^T p = d has the NNLS vertex p = (1/3, 0, 2/3) and strictly
+        # positive solutions; the cleared price must be one of those
+        c = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b = c @ np.array([[0.5, 0.2], [0.3, 0.6]])
+        outcome = clearing_equilibrium(c, b)
+        assert outcome.cleared
+        p = outcome.price
+        assert np.all(p > 0.0) and p.sum() == pytest.approx(1.0)
+        assert np.allclose(c @ ((b.T @ p) / (c.T @ p)), b.sum(axis=1), atol=1e-12)
+
     def test_clearing_residual_when_cleared(self, rng):
         cleared = 0
         for _ in range(60):

@@ -570,3 +570,13 @@ class TestImportCost:
         assert done.returncode == 0
         assert json.loads(done.stdout)["command"] == "aggregate"
         assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+    def test_equilibrium_clearing_at_unit_prices_loads_no_scipy(self):
+        # toy2 clears at unit prices, so analyze bypasses the minimum-excess
+        # QP and with it every scipy function the QP imports
+        done, loaded = _scipy_modules_after(
+            "from ioequil.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "equilibrium", str(data_path("toy2.csv")), "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["results"]["excess_level"] == 0.0
+        assert loaded == []

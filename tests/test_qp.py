@@ -8,6 +8,7 @@ from conftest import (
     qp_enumeration_oracle,
     random_indecomposable,
     solve_min_excess_cold_reference,
+    solve_min_excess_svd_reference,
     two_block,
 )
 
@@ -163,3 +164,88 @@ def test_warm_start_saves_three_quarters_of_the_iterations():
     warm = solve_min_excess(a, b)
     cold = solve_min_excess_cold_reference(a, b)
     assert 4 * warm.iterations < cold.iterations
+
+
+def assert_matches_svd_reference(a, b, coordinates=lambda z: z):
+    """Same path and optimum as the SVD reference; z compared in ``coordinates``."""
+    result = solve_min_excess(a, b)
+    reference = solve_min_excess_svd_reference(a, b)
+    assert result.iterations == reference.iterations
+    assert result.binding_rows == reference.binding_rows
+    assert abs(result.objective - reference.objective) <= 1e-12 * reference.objective
+    scale = max(1.0, float(np.max(reference.z)))
+    assert np.max(np.abs(coordinates(result.z) - coordinates(reference.z))) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("kind", REFERENCE_INSTANCES)
+def test_factorized_loop_matches_svd_reference(kind):
+    rng = np.random.default_rng(list(REFERENCE_INSTANCES).index(kind))
+    for _ in range(2):
+        a = REFERENCE_INSTANCES[kind](rng)
+        assert_matches_svd_reference(a, value_table_supply(rng, a))
+
+
+def test_factorized_loop_matches_svd_reference_on_singular_instances(rng):
+    # the duplicated-column and dependent-row instances of the enumeration
+    # test; two equal columns share their optimal mass in any split, and at a
+    # tie between their bounds' multipliers the SVD reference drops whichever
+    # rounding makes smaller, so only the pair's sum is compared
+    for trial in range(100):
+        n = int(rng.integers(2, 5))
+        a = rng.uniform(0.0, 1.0, (n, n))
+        if trial % 2 == 0:
+            a[:, -1] = a[:, 0]
+            coordinates = lambda z: np.r_[z[0] + z[-1], z[1:-1]]
+        else:
+            a[-1, :] = 0.5 * a[0, :]
+            coordinates = lambda z: z
+        np.fill_diagonal(a, np.maximum(a.diagonal(), 0.05))
+        assert_matches_svd_reference(a, rng.uniform(0.3, 3.0, n), coordinates)
+
+
+def test_factorized_loop_matches_svd_reference_at_200_sectors():
+    rng = np.random.default_rng(200)
+    a = column_sums_in_value_units(rng, random_indecomposable(rng, 200, density=0.3))
+    assert_matches_svd_reference(a, value_table_supply(rng, a))
+
+
+def count_nnls_calls(monkeypatch, solve, a, b) -> int:
+    from ioequil import qp
+
+    calls = []
+    original = qp.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "nnls", counted)
+    solve(a, b)
+    return len(calls)
+
+
+def test_one_certificate_per_solve(monkeypatch):
+    # the SVD reference fits an NNLS certificate at every stationary point;
+    # the factorized loop reads the multipliers from R and certifies once
+    rng = np.random.default_rng(60)
+    a = REFERENCE_INSTANCES["dense n=60"](rng)
+    b = value_table_supply(rng, a)
+    assert count_nnls_calls(monkeypatch, solve_min_excess_svd_reference, a, b) > 2
+    assert count_nnls_calls(monkeypatch, solve_min_excess, a, b) == 2
+
+
+def test_failed_exit_certificate_is_a_degenerate_working_set(monkeypatch):
+    from ioequil import qp
+
+    calls = []
+    original = qp.nnls
+
+    def failing_at_exit(*args, **kwargs):
+        calls.append(1)
+        x, residual = original(*args, **kwargs)
+        return (x, 1.0) if len(calls) == 2 else (x, residual)
+
+    monkeypatch.setattr(qp, "nnls", failing_at_exit)
+    with pytest.raises(SolverStallError, match="degenerate working set: no droppable constraint"):
+        solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
+    assert len(calls) == 2
