@@ -1,6 +1,25 @@
-"""Primal active-set solver for the minimum-excess quadratic program
+"""Active-set solver for the minimum-excess quadratic program
 
     min ||A z - b||^2   subject to   z >= 0,  A z <= b.
+
+When A is square and passes the rank test of ``core.perron_vector`` (one
+LU factorization whose reciprocal condition number, LAPACK gecon, exceeds
+PIVOT_RTOL), the substitution u = A z - b turns the program into
+the least-distance program min ||u|| subject to G u >= h, with
+G = [A^-1; -I] and h = [-A^-1 b; 0] (Lawson and Hanson, Solving Least
+Squares Problems, 1974, ch. 23). One NNLS fit of e_{n+1} by the columns of
+[G^T; h^T] solves it, and its positive coefficients name the optimal
+working set: coefficient i < n a bound z_i = 0, coefficient n + k a
+binding supply row k. A^-1 amplifies the rounding of u, so z is rebuilt on
+that working set: the particular solution Q1 R^-T b_R of the binding rows
+plus the least-squares step in their null space (below).
+
+When A is singular, or the rebuilt point is infeasible, the loop starts
+instead from the NNLS point y of min ||A y - b|| over y >= 0, scaled back
+into the feasible set: z = s y with s = min_k b_k / (A y)_k over the rows
+where A y is positive, or z = 0 when A y has no positive entry. Only the
+zero bounds of z start in the working set; a supply row the start touches
+enters through the ratio test.
 
 The equality-constrained subproblems are solved by a null-space method,
 which stays well-posed when A^T A is singular. One Householder QR of the
@@ -9,14 +28,14 @@ and, at a stationary point, the Lagrange multipliers by a triangular solve
 (Gill and Murray; Goldfarb and Idnani, Math. Programming 27, 1983). The
 least-squares step in that null space is LAPACK's complete orthogonal
 factorization (gelsy), which returns the minimum-norm step on a singular
-reduced matrix. Optimality is certified once, at the exit, by a
-non-negative least-squares fit of the gradient to the working constraint
-normals, in the spirit of the Lawson-Hanson NNLS multiplier test.
+reduced matrix. From the least-distance working set the first pass finds a
+zero step and non-negative multipliers.
 
-The iteration starts from the NNLS point y of min ||A y - b|| over y >= 0,
-scaled back into the feasible set: z = s y with s = min_k b_k / (A y)_k
-over the rows where A y is positive. Only the zero bounds of z start in the
-working set; a supply row the start touches enters through the ratio test.
+Where no multiplier is negative beyond the tolerance, the point is
+certified by the residual ||g - N max(multipliers, 0)|| of the gradient g
+against the working constraint normals N = [e_i (bounds), -a_k (rows)].
+So a solve makes one NNLS call, the least-distance fit or, on a singular A,
+the scaled start's fit; only an infeasible rebuilt point adds the second.
 """
 
 from __future__ import annotations
@@ -25,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import PIVOT_RTOL
 from .errors import SolverStallError
 
 KKT_TOL = 1e-10
@@ -38,13 +58,15 @@ class QPResult:
     kkt_residual: float
     iterations: int
     binding_rows: tuple[int, ...]
+    start: str               # "ldp", "nnls" or "zero": the point the loop started from
 
 
 def nnls(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """scipy's NNLS, imported on first call so that importing the package loads no scipy."""
+    """scipy's NNLS capped at 50 iterations per column, imported on first call
+    so that importing the package loads no scipy."""
     from scipy.optimize import nnls as scipy_nnls
 
-    return scipy_nnls(matrix, rhs)
+    return scipy_nnls(matrix, rhs, maxiter=50 * matrix.shape[1])
 
 
 def _nnls(matrix: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -68,33 +90,111 @@ def _nearest(limits: np.ndarray, alpha: float) -> int | None:
     return int(below[np.argmax(near)])
 
 
-def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
-    """Solve the bounded least-squares program from the scaled NNLS point.
+def _null_space_step(a_free: np.ndarray, null_basis: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Step Q2 v with v minimizing ||A_F Q2 v - residual||, Q2 = ``null_basis``.
 
-    The start is z = s y (module docstring), or z = 0 when A y has no
-    positive entry. Each iteration factors the working supply rows on the
-    free variables once, A[rows, F]^T = Q R: the trailing columns of Q span
-    the null space the step lives in, and at a stationary point the row
-    multipliers come from R. The NNLS certificate runs once, where no
-    multiplier is negative. Raises SolverStallError when the iteration cap
-    of 100 (n + m + 2) is hit, when that certificate fails (a degenerate
-    working set that cannot be improved) or when an NNLS solve hits its
-    own cap.
+    gelsy returns the minimum-norm v when A_F Q2 is singular.
     """
-    from scipy.linalg import lstsq, solve_triangular
+    from scipy.linalg import lstsq
+
+    if null_basis.shape[1] == 0:
+        return np.zeros(null_basis.shape[0])
+    reduced = a_free @ null_basis
+    v = lstsq(reduced, residual, cond=np.finfo(float).eps * max(reduced.shape),
+              lapack_driver="gelsy")[0]
+    return null_basis @ v
+
+
+def _least_distance_start(a: np.ndarray, b: np.ndarray,
+                          scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(z, bounds, binding rows) of the least-distance optimum, or None.
+
+    None when A is not square or fails the LU rank test, or when the working
+    rows on the free variables are dependent or the rebuilt z is infeasible
+    beyond ``STEP_TOL * scale``; negative dust within it is zeroed.
+    """
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetri
+
+    n = b.shape[0]
+    if a.shape != (n, n):
+        return None
+    lu, piv, info = dgetrf(a)
+    if info != 0 or dgecon(lu, np.linalg.norm(a, 1))[0] <= PIVOT_RTOL:
+        return None
+    inverse, _ = dgetri(lu, piv)
+    # columns of [G^T; h^T] with u = A z - b: z >= 0 reads A^-1 u >= -A^-1 b,
+    # A z <= b reads -u >= 0
+    ldp = np.zeros((n + 1, 2 * n))
+    ldp[:n, :n] = inverse.T
+    ldp[:n, n:] = -np.eye(n)
+    ldp[n, :n] = -(inverse @ b)
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    coefficients, _ = _nnls(ldp, target, "least-distance start")
+    bound = coefficients[:n] > 0.0
+    binding = coefficients[n:] > 0.0
+
+    free, rows = np.flatnonzero(~bound), np.flatnonzero(binding)
+    if rows.size > free.size:
+        return None
+    q, r = np.linalg.qr(a[np.ix_(rows, free)].T, mode="complete")
+    pivots = np.abs(np.diag(r))
+    z = np.zeros(n)
+    if rows.size:
+        if np.min(pivots) <= PIVOT_RTOL * np.max(pivots):
+            return None
+        z[free] = q[:, :rows.size] @ solve_triangular(r[:rows.size], b[rows], trans="T")
+    a_free = a[:, free]
+    z[free] += _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
+    if np.min(z) < -STEP_TOL * scale or np.max(a @ z - b) > STEP_TOL * scale:
+        return None
+    z[z < 0.0] = 0.0
+    return z, bound, binding
+
+
+def _kkt_residual(a: np.ndarray, gradient: np.ndarray, fixed: np.ndarray, rows: np.ndarray,
+                  multipliers: np.ndarray) -> float:
+    """||g - N max(multipliers, 0)|| for the working normals N = [e_i (bounds), -a_k (rows)]."""
+    clamped = np.maximum(multipliers, 0.0)
+    residual = gradient + a[rows].T @ clamped[fixed.size:]
+    residual[fixed] -= clamped[:fixed.size]
+    return float(np.linalg.norm(residual))
+
+
+def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
+    """Solve the bounded least-squares program from the least-distance working set.
+
+    The start (module docstring) is the rebuilt least-distance optimum with
+    its bounds and binding rows; on a singular A, or when that point is
+    infeasible, it is z = s y from the scaled NNLS point, or z = 0 when A y
+    has no positive entry. Each iteration factors the working supply rows
+    on the free variables once, A[rows, F]^T = Q R: the trailing columns of
+    Q span the null space the step lives in, and at a stationary point the
+    row multipliers come from R. Where none is negative the same multipliers
+    certify the point. Raises SolverStallError when the iteration cap of
+    100 (n + m + 2) is hit, when the certificate fails (a degenerate working
+    set that cannot be improved) or when the NNLS solve hits its own cap.
+    """
+    from scipy.linalg import solve_triangular
 
     n, mvar = a.shape
     max_iter = 100 * (n + mvar + 2)
-    y, _ = _nnls(a, b, "warm start")
-    image = a @ y
-    positive = image > 0.0
-    if np.any(positive):
-        z = float(np.min(b[positive] / image[positive])) * y
-    else:
-        z = np.zeros(mvar)
-    bound = z == 0.0                       # working bounds z_i = 0
-    binding = np.zeros(n, dtype=bool)      # working supply rows (A z)_k = b_k
     scale = max(1.0, float(np.max(np.abs(b))))
+    least_distance = _least_distance_start(a, b, scale)
+    if least_distance is not None:
+        z, bound, binding = least_distance   # working bounds z_i = 0, rows (A z)_k = b_k
+        start = "ldp"
+    else:
+        y, _ = _nnls(a, b, "warm start")
+        image = a @ y
+        positive = image > 0.0
+        if np.any(positive):
+            z, start = float(np.min(b[positive] / image[positive])) * y, "nnls"
+        else:
+            z, start = np.zeros(mvar), "zero"
+        bound = z == 0.0
+        binding = np.zeros(n, dtype=bool)
 
     for it in range(max_iter):
         free = np.flatnonzero(~bound)
@@ -104,13 +204,8 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
         # through the ratio test, off the span of the others), so R is
         # nonsingular and Q's last columns span the null space
         q, r = np.linalg.qr(a_free[rows].T, mode="complete")
-        null_basis = q[:, rows.size:]
         direction = np.zeros(mvar)
-        if null_basis.shape[1] > 0:
-            reduced = a_free @ null_basis
-            v = lstsq(reduced, b - a_free @ z[free], cond=np.finfo(float).eps * max(reduced.shape),
-                      lapack_driver="gelsy")[0]
-            direction[free] = null_basis @ v
+        direction[free] = _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
 
         if np.max(np.abs(direction)) <= STEP_TOL * scale:
             gradient = 2.0 * a.T @ (a @ z - b)
@@ -132,8 +227,7 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
                 else:
                     binding[rows[worst - fixed.size]] = False
                 continue
-            normal_matrix = np.hstack([np.eye(mvar)[:, fixed], -a[rows].T])
-            _, kkt_residual = _nnls(normal_matrix, gradient, "stationary-point certificate")
+            kkt_residual = _kkt_residual(a, gradient, fixed, rows, multipliers)
             if kkt_residual <= tol:
                 break
             raise SolverStallError("degenerate working set: no droppable constraint")
@@ -169,4 +263,5 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
         kkt_residual=float(kkt_residual),
         iterations=it + 1,
         binding_rows=tuple(np.flatnonzero(binding).tolist()),
+        start=start,
     )
