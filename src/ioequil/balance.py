@@ -1,10 +1,10 @@
 """Fixed-point primitives: balanced weights, supply/demand factorization,
 full market clearing, inequality-system solutions and support partitions.
 
-The regularized simplex map at the heart of ``inequality_solution`` is
-solved by continuation: the map contracts strongly for large regularization,
-and the fixed point is tracked down the documented schedule with a Newton
-corrector, restarting from a damped sweep whenever the branch folds.
+``inequality_solution`` finds a symmetric equilibrium of the game
+``M = A / b`` by Lemke-Howson complementary pivoting (Lemke & Howson, J. SIAM
+12, 1964; von Stengel, Handbook of Game Theory 3, 2002): lexicographic ties,
+``4 n`` pivots per dropped label, and one polishing solve on the support.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FIXED_POINT_TOL,
+    PIVOT_RTOL,
     POSITIVE_TOL,
     Technology,
     _matrix,
@@ -25,7 +25,6 @@ from .core import (
 )
 from .errors import (
     DecomposableError,
-    DegenerateQuadraticFormError,
     HypothesisViolatedError,
     NoConvergenceError,
     NotInConeError,
@@ -36,7 +35,7 @@ from .errors import (
 from .qp import _nnls
 
 BALANCE_RESIDUAL_TOL = 1e-10
-EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
+FEASIBILITY_TOL = 1e-10      # A z <= b (1 + FEASIBILITY_TOL) at a polished complementary point
 
 
 def balance_residual(b1: np.ndarray, d: np.ndarray) -> float:
@@ -196,115 +195,50 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
     return ClearingOutcome(p, None, b1, d)
 
 
-# --- regularized simplex fixed point ---------------------------------------
+# --- complementary pivoting -------------------------------------------------
 
-def _fp_residual(m: np.ndarray, eps: float, y: np.ndarray) -> np.ndarray:
-    my = m @ y
-    return y * (my - y @ my - m.shape[0] * eps) + eps
-
-
-def _fp_damped(m: np.ndarray, eps: float, y: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-    n = m.shape[0]
-    for it in range(budget):
-        my = m @ y
-        q = y @ my
-        phi = (y + y * my + eps) / (1.0 + q + n * eps)
-        y_new = 0.5 * (y + phi)
-        if np.max(np.abs(y_new - y)) < FIXED_POINT_TOL:
-            return y_new, it + 1
-        y = y_new
-    return y, budget
-
-
-def _fp_newton(m: np.ndarray, eps: float, y0: np.ndarray, iters: int = 60) -> np.ndarray | None:
-    n = m.shape[0]
-    y = y0.copy()
-    for _ in range(iters):
-        r = _fp_residual(m, eps, y)
-        rn = float(np.linalg.norm(r))
-        if rn < 1e-14 * max(1.0, n):
-            return y
-        my = m @ y
-        q = y @ my
-        dq = (m + m.T) @ y
-        jac = np.diag(my - q - n * eps) + y[:, None] * (m - dq[None, :])
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        neg = (step < 0) & (y > 0)
-        if np.any(neg):
-            t = min(1.0, 0.95 * float(np.min(y[neg] / -step[neg])))
-        for _bt in range(50):
-            y_new = np.maximum(y + t * step, 0.0)
-            if np.linalg.norm(_fp_residual(m, eps, y_new)) <= (1.0 - 1e-4 * t) * rn:
-                y = y_new
-                break
-            t *= 0.5
-        else:
-            return None
-    return y if np.linalg.norm(_fp_residual(m, eps, y)) < 1e-12 else None
-
-
-def _fp_solve_at(m: np.ndarray, eps: float, warm: np.ndarray) -> np.ndarray | None:
-    y = _fp_newton(m, eps, warm)
-    if y is not None:
-        return y
-    n = m.shape[0]
-    y, _ = _fp_damped(m, eps, np.full(n, 1.0 / n), 200_000)
-    return _fp_newton(m, eps, y)
-
-
-def regularized_fixed_points(m: np.ndarray) -> dict[float, np.ndarray]:
-    """Fixed points of the regularized simplex map along the schedule.
-
-    Walks the regularization from 1 down through the schedule with Newton
-    correction; a fold in the branch triggers a fresh damped start at the
-    stalled value. The returned map also holds the extrapolated limit under
-    key 0.0.
+def _lemke_howson(m: np.ndarray, label: int, budget: int) -> np.ndarray | None:
+    """End basis (w_i is variable i, z_i is n + i) of the Lemke-Howson path on
+    ``w + M z = 1`` that drops ``label``, or None past ``budget`` pivots or
+    when no row is eligible. The w block of the tableau is the basis inverse.
     """
     n = m.shape[0]
-    y = np.full(n, 1.0 / n)
-    eps = 1.0
-    y, _ = _fp_damped(m, eps, y, 20_000)
-    y = _fp_newton(m, eps, y)
-    if y is None:
-        raise NoConvergenceError("regularized map failed to converge at the starting value")
-    out: dict[float, np.ndarray] = {}
-    for target in EPS_SCHEDULE:
-        while eps > target * (1.0 + 1e-9):
-            trial = max(target, eps * 0.1)
-            y_trial = _fp_newton(m, trial, y)
-            fac = 0.5
-            while y_trial is None and fac <= 0.995:
-                trial = max(target, eps * fac)
-                y_trial = _fp_newton(m, trial, y)
-                fac += (1.0 - fac) * 0.5
-            if y_trial is None:
-                y_trial = _fp_solve_at(m, trial, y)
-                if y_trial is None:
-                    raise NoConvergenceError(f"fixed-point continuation stalled near eps={trial:.3e}")
-            eps, y = trial, y_trial
-        out[target] = y.copy()
-    small = EPS_SCHEDULE[-1]
-    while small > 1e-13:
-        small *= 0.01
-        y_trial = _fp_newton(m, small, y)
-        if y_trial is None:
-            break
-        y = y_trial
-    y_limit = _fp_newton(m, 0.0, y)
-    out[0.0] = y_limit if y_limit is not None else y
-    return out
+    tab = np.hstack([np.eye(n), m, np.ones((n, 1))])
+    basis = np.arange(n)
+    entering = n + label
+    for _ in range(budget):
+        col = tab[:, entering]
+        rows = np.flatnonzero(col > PIVOT_RTOL * np.max(np.abs(col)))
+        if rows.size == 0:
+            return None
+        # minimum ratio; ties up to rounding go lexicographically on the w block
+        for j in (2 * n, *range(n)):
+            ratios = tab[rows, j] / col[rows]
+            low = float(np.min(ratios))
+            rows = rows[ratios <= low + 1e-12 * max(1.0, abs(low))]
+            if rows.size == 1:
+                break
+        r = rows[0]
+        pivot_row = tab[r] / col[r]
+        tab -= np.outer(col, pivot_row)
+        tab[r] = pivot_row
+        leaving, basis[r] = basis[r], entering
+        if leaving % n == label:
+            return basis
+        entering = (leaving + n) % (2 * n)
+    return None
 
 
 def inequality_solution(t: Technology, b) -> np.ndarray:
-    """Non-negative z with A z <= b and a non-empty binding row set.
+    """Non-negative z with A z <= b, a binding row, and z_k = 0 on every slack row.
 
-    Built from the limit of the regularized simplex fixed points: the limit
-    point y0 is rescaled by the quadratic form Q(y0) = sum y_k a_ki y_i / b_k,
-    which makes the rows carrying positive y0 mass exactly binding.
+    With ``M = A / b`` this is the complementarity problem ``w = 1 - M z >= 0``,
+    ``z >= 0``, ``z^T w = 0``, ``z != 0``, solved by Lemke-Howson pivoting from
+    label 0: minimum ratio among entries above ``PIVOT_RTOL`` of the column's
+    largest, ties broken lexicographically, ``4 n`` pivots before the next
+    label. On the basic z set S one solve of ``M[S, S] z_S = 1`` polishes z;
+    a point failing ``z >= 0`` or ``M z <= 1 + FEASIBILITY_TOL`` moves on to
+    the next label. NoConvergenceError names the budget when no label is left.
     """
     b = _vector(b, "supply vector")
     if b.shape[0] != t.n:
@@ -314,13 +248,24 @@ def inequality_solution(t: Technology, b) -> np.ndarray:
     if not is_indecomposable(t):
         raise DecomposableError("inequality solution requires an indecomposable matrix")
 
+    n = t.n
     m = t.a / b[:, None]
-    points = regularized_fixed_points(m)
-    y0 = points[0.0]
-    q = float(y0 @ (m @ y0))
-    if q <= 1e-14:
-        raise DegenerateQuadraticFormError("normalizing quadratic form vanishes at the limit")
-    return y0 / q
+    budget = 4 * n
+    for label in range(n):
+        basis = _lemke_howson(m, label, budget)
+        if basis is None:
+            continue
+        s = basis[basis >= n] - n
+        try:
+            z_s = np.linalg.solve(m[np.ix_(s, s)], np.ones(s.size))
+        except np.linalg.LinAlgError:
+            continue
+        z = np.zeros(n)
+        z[s] = z_s
+        if s.size and np.all(z_s >= 0.0) and np.all(m @ z <= 1.0 + FEASIBILITY_TOL):
+            return z
+    raise NoConvergenceError(f"Lemke-Howson pivoting verified no solution from any of the "
+                             f"{n} labels within {budget} pivots each")
 
 
 @dataclass(frozen=True)

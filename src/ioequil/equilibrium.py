@@ -206,10 +206,9 @@ def prices_from_consumption(t: Technology, z) -> np.ndarray:
         raise HypothesisViolatedError("real consumption vanishes on a supported sector")
     weights = np.where(supported, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
     p = perron_vector(weights[:, None] * t.a.T, "consumption prices")
-    # reconstruction and clearing checks
+    # reconstruction and clearing checks; |p_i - w_i (A^T p)_i| <= MULTIPLIER_TOL
+    # max p, so a vanishing input cost (A^T p)_i fails the price test
     denom = t.a.T @ p
-    if np.any(supported & (denom <= 0.0)):
-        raise HypothesisViolatedError("input cost vanishes on a supported sector")
     vanishing = np.flatnonzero(supported & (p <= POSITIVE_TOL * np.max(p)))
     if vanishing.size:
         raise HypothesisViolatedError(f"price vanishes on supported sector {vanishing[0]}")

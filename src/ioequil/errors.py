@@ -104,15 +104,11 @@ class NumericalError(ModelError):
 
 
 class NoConvergenceError(NumericalError):
-    """Fixed-point iteration hit its cap before converging."""
+    """An iteration or pivoting path hit its cap or budget before converging."""
 
 
 class SolverStallError(NumericalError):
     """Active-set solver could not reduce the KKT residual."""
-
-
-class DegenerateQuadraticFormError(NumericalError):
-    """Normalizing quadratic form vanishes at the limit point."""
 
 
 class PipelineError(ModelError):

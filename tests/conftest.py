@@ -68,6 +68,17 @@ def random_indecomposable(rng: np.random.Generator, n: int,
     return a
 
 
+def column_sums_in_value_units(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
+    """Rescale the columns of ``a`` to sums in [0.35, 0.75], as bench/gen.py does."""
+    return a * (rng.uniform(0.35, 0.75, a.shape[0]) / a.sum(axis=0))
+
+
+def value_table_supply(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
+    """Supply 0.7 (E - A)^-1 c of a value table, as bench/gen.py taxes it."""
+    n = a.shape[0]
+    return 0.7 * np.linalg.solve(np.eye(n) - a, rng.uniform(0.5, 1.5, n))
+
+
 def spectral_radius_oracle(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
@@ -138,6 +149,29 @@ def qp_enumeration_oracle(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarr
             if obj < best_obj:
                 best_obj, best_z = obj, z
     return best_obj, best_z
+
+
+def complementary_points_oracle(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Every z >= 0 with A z <= b whose positive entries sit on binding rows.
+
+    With ``M = A / b`` each such point solves ``M[S, S] z_S = 1`` on its
+    support S. Enumerates every S with a nonsingular ``M[S, S]``, keeps
+    ``z_S > 0`` with ``M z <= 1``; exponential, for n <= 6 only.
+    """
+    n = a.shape[0]
+    m = a / b[:, None]
+    points = []
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            s = list(support)
+            block = m[np.ix_(s, s)]
+            if np.linalg.cond(block) > 1e12:
+                continue
+            z = np.zeros(n)
+            z[s] = np.linalg.solve(block, np.ones(size))
+            if np.all(z[s] > 0.0) and np.all(m @ z <= 1.0 + 1e-9):
+                points.append(z)
+    return points
 
 
 def simplex_grid(n: int, target_points: int) -> np.ndarray:

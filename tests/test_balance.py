@@ -3,6 +3,7 @@ import pytest
 
 from ioequil import (
     Technology,
+    balance,
     balanced_eigenvector,
     clearing_equilibrium,
     inequality_solution,
@@ -12,13 +13,21 @@ from ioequil import (
 from ioequil.balance import balance_residual
 from ioequil.errors import (
     DecomposableError,
+    NoConvergenceError,
     NotInConeError,
     NumericalError,
     SolverStallError,
     ZeroImageError,
 )
 
-from conftest import balanced_eigenvector_reference, random_indecomposable, two_block
+from conftest import (
+    balanced_eigenvector_reference,
+    column_sums_in_value_units,
+    complementary_points_oracle,
+    random_indecomposable,
+    two_block,
+    value_table_supply,
+)
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -193,6 +202,16 @@ class TestClearingEquilibrium:
         assert cleared >= 10
 
 
+def assert_inequality_contract(a, b, z):
+    """z >= 0, A z <= b with a binding row, and z_k == 0 on every slack row."""
+    assert np.all(z >= 0.0)
+    residual = a @ z - b
+    assert np.max(residual) <= 1e-8
+    assert np.max(residual) >= -1e-8  # at least one binding row
+    slack = residual < -1e-8 * np.maximum(1.0, b)
+    assert np.all(z[slack] == 0.0)
+
+
 class TestInequalitySolution:
     def test_scalar(self):
         z = inequality_solution(Technology([[0.5]]), [1.0])
@@ -212,16 +231,59 @@ class TestInequalitySolution:
             b = rng.uniform(0.3, 2.5, n)
             t = Technology(a)
             z = inequality_solution(t, b)
-            assert np.all(z >= 0.0)
-            residual = a @ z - b
-            assert np.max(residual) <= 1e-8
-            assert np.max(residual) >= -1e-8  # at least one binding row
-            # rows carrying limit mass satisfy the exact equality form
+            assert_inequality_contract(a, b, z)
+            # rows carrying mass satisfy the equality form of the game M
             y0 = z / z.sum()
             m = a / b[:, None]
             quad = float(y0 @ (m @ y0))
             supported = y0 > 1e-9
             assert np.max(np.abs((m @ y0)[supported] - quad)) < 1e-8
+            points = complementary_points_oracle(a, b)
+            assert any(np.allclose(z, point, rtol=1e-9, atol=0.0) for point in points), (z, points)
+
+    def test_ties_broken_lexicographically(self):
+        # every ratio of the entering column z_0 ties at 2; the basis inverse
+        # E breaks the tie at column 0 (rows 1, 2 at 0) and then column 1
+        # (row 2 at 0), so w_2 leaves, z_2 enters and pushes out z_0
+        a = np.full((3, 3), 0.5)
+        b = np.ones(3)
+        z = inequality_solution(Technology(a), b)
+        assert np.array_equal(z, [0.0, 0.0, 2.0])
+        assert_inequality_contract(a, b, z)
+
+    @pytest.mark.parametrize("n, seed", [(40, 7), (60, 0), (60, 3), (60, 6), (60, 7)])
+    def test_dense_value_tables(self, n, seed):
+        # the regularized continuation this replaced stalled on these tables
+        rng = np.random.default_rng([seed, n])
+        a = column_sums_in_value_units(rng, random_indecomposable(rng, n))
+        b = value_table_supply(rng, a)
+        assert_inequality_contract(a, b, inequality_solution(Technology(a), b))
+
+    def test_label_restart_past_the_pivot_budget(self, monkeypatch):
+        lemke_howson = balance._lemke_howson
+        paths = []
+
+        def recording(m, label, budget):
+            basis = lemke_howson(m, label, budget)
+            paths.append((label, basis is not None))
+            return basis
+
+        monkeypatch.setattr(balance, "_lemke_howson", recording)
+        rng = np.random.default_rng([2, 200])
+        a = column_sums_in_value_units(rng, random_indecomposable(rng, 200, density=0.3))
+        b = value_table_supply(rng, a)
+        assert_inequality_contract(a, b, inequality_solution(Technology(a), b))
+        assert paths == [(0, False), (1, True)]
+
+    @pytest.mark.parametrize("end_basis", [
+        lambda m, label, budget: None,
+        lambda m, label, budget: np.arange(m.shape[0]),  # z = 0
+        lambda m, label, budget: np.array([0, 3]),       # z = (0, 5): A z = (1.5, 1)
+    ], ids=["past the budget", "slack basis", "infeasible end point"])
+    def test_no_verified_label_raises_with_the_budget(self, monkeypatch, end_basis):
+        monkeypatch.setattr(balance, "_lemke_howson", end_basis)
+        with pytest.raises(NoConvergenceError, match="any of the 2 labels within 8 pivots each"):
+            inequality_solution(SYM, [1.0, 1.0])
 
     def test_decomposable_rejected(self):
         with pytest.raises(DecomposableError):

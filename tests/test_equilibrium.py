@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from ioequil import (
     prices_on_support,
     solution_from_alpha,
 )
+from ioequil.core import MULTIPLIER_TOL, POSITIVE_TOL
 from ioequil.errors import (
     DecomposableMinorError,
     HypothesisViolatedError,
@@ -228,6 +230,14 @@ class TestPricesFromConsumption:
         with pytest.raises(HypothesisViolatedError):
             prices_from_consumption(SYM, [0.0, 0.0])
 
+    def test_vanishing_input_cost_is_a_vanishing_price(self):
+        # column 1 of A is zero, so (A^T p)_1 = 0 at every p; the verified
+        # fixed point then forces p_1 = 0, which the price test reports
+        assert MULTIPLIER_TOL <= POSITIVE_TOL
+        t = Technology([[0.5, 0.0], [0.5, 0.0]])
+        with pytest.raises(HypothesisViolatedError, match="^price vanishes on supported sector 1$"):
+            prices_from_consumption(t, [1.0, 1.0])
+
     def test_contracts_on_random_positive_instances(self, rng):
         for _ in range(60):
             n = 3
@@ -362,6 +372,7 @@ class TestSparseInstances:
             except PipelineError as exc:
                 assert isinstance(exc.cause, HypothesisViolatedError), exc
                 assert "reconstruction" not in str(exc)
+                assert re.search(r"sector \d+$", str(exc.cause)), exc
                 outcomes[str(exc.cause).split(" on ")[0]] += 1
                 continue
             p = state.p
@@ -374,4 +385,4 @@ class TestSparseInstances:
             assert np.max(np.abs(a @ terms - state.b_bar)) <= 1e-8 * max(1.0, np.max(state.b_bar))
             outcomes[state.mode] += 1
         assert outcomes["support"] and outcomes["generalized"], outcomes
-        assert outcomes["price vanishes"] and outcomes["input cost vanishes"], outcomes
+        assert outcomes["price vanishes"], outcomes

@@ -6,6 +6,7 @@ from ioequil.errors import SolverStallError
 from ioequil.qp import solve_min_excess
 
 from conftest import (
+    column_sums_in_value_units,
     data_path,
     qp_enumeration_oracle,
     random_indecomposable,
@@ -13,6 +14,7 @@ from conftest import (
     solve_min_excess_qr_reference,
     solve_min_excess_svd_reference,
     two_block,
+    value_table_supply,
 )
 
 
@@ -156,16 +158,6 @@ def test_infeasible_least_distance_point_falls_back_to_the_scaled_start(monkeypa
     result = solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
     assert len(calls) == 2 and result.start == "nnls"
     assert np.allclose(result.z, [10.0, 0.0], atol=1e-8) and result.binding_rows == (0,)
-
-
-def value_table_supply(rng, a):
-    """Supply 0.7 (E - A)^-1 c of a value table, as bench/gen.py taxes it."""
-    n = a.shape[0]
-    return 0.7 * np.linalg.solve(np.eye(n) - a, rng.uniform(0.5, 1.5, n))
-
-
-def column_sums_in_value_units(rng, a):
-    return a * (rng.uniform(0.35, 0.75, a.shape[0]) / a.sum(axis=0))
 
 
 REFERENCE_INSTANCES = {
