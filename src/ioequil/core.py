@@ -9,9 +9,10 @@ spanned by the columns of ``C``.
 Linear-algebra policy: library factorizations, not hand-written loops.
 Rank decisions count the pivots of a column-pivoted QR (Businger & Golub)
 above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
-is a single strong component of the support digraph (Tarjan, via
-``scipy.sparse.csgraph``). The coordinates of a vector in a set of
-independent columns come from one least-squares solve
+is a single strong component of the support digraph, decided in numpy by
+two breadth-first reachability sweeps from sector 0 (one along the edges,
+one against them; O(n^2), no scipy). The coordinates of a vector in a set
+of independent columns come from one least-squares solve
 (``np.linalg.lstsq``); the columns first pass the full-column-rank check,
 and a separate max-norm residual test decides span membership.
 
@@ -128,20 +129,45 @@ def matrix_rank(m, rtol: float = PIVOT_RTOL) -> int:
 
 
 def is_indecomposable(t: Technology | np.ndarray) -> bool:
-    """True iff the support digraph of the matrix is strongly connected.
+    """True iff the support digraph of the square matrix is strongly connected.
 
-    The strong components come from Tarjan's algorithm in
-    ``scipy.sparse.csgraph``. A 1x1 matrix counts as indecomposable only if
-    its entry is positive (the node needs a self-loop for the Perron
-    machinery downstream).
+    Two breadth-first sweeps from sector 0, one along the edges of
+    ``A > 0`` and one against them, must each reach every sector. Every
+    sector enters a frontier once, so the work is O(n^2). A 1x1 matrix
+    counts as indecomposable only if its entry is positive (the node needs
+    a self-loop for the Perron machinery downstream); a 0x0 matrix does
+    not count. A non-square matrix raises ValueError.
     """
     a = t.a if isinstance(t, Technology) else _matrix(t)
-    if a.shape[0] == 1:
-        return bool(a[0, 0] > 0.0)
-    from scipy.sparse.csgraph import connected_components
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if n <= 1:
+        return bool(n == 1 and a[0, 0] > 0.0)
+    s = a > 0.0
+    return _reaches_all(s, along=True) and _reaches_all(s, along=False)
 
-    count, _ = connected_components(a > 0.0, directed=True, connection="strong")
-    return count == 1
+
+def _reaches_all(s: np.ndarray, *, along: bool) -> bool:
+    """True iff a frontier sweep from node 0 of the digraph ``s`` reaches every node.
+
+    ``along`` follows the edges ``i -> j`` with ``s[i, j]`` by gathering
+    rows; otherwise the sweep gathers columns, which follows the edges
+    backwards without forming the transpose.
+    """
+    n = s.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    reached = 1
+    while reached < n:
+        step = s[frontier].any(axis=0) if along else s[:, frontier].any(axis=1)
+        frontier = np.flatnonzero(step & ~seen)
+        if not frontier.size:
+            return False
+        seen[frontier] = True
+        reached += frontier.size
+    return True
 
 
 def perron_vector(m: np.ndarray, what: str) -> np.ndarray:

@@ -11,7 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 from importlib import resources
+
+# One BLAS thread unless the caller chose otherwise, set before numpy
+# loads: the tests factor many small matrices, and on a small machine a
+# second spinning BLAS thread slows them down (bench/run.py pins the same).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -580,3 +580,13 @@ class TestImportCost:
         assert done.returncode == 0
         assert json.loads(done.stdout)["results"]["excess_level"] == 0.0
         assert loaded == []
+
+    def test_check_loads_no_scipy(self):
+        # indecomposability is two numpy reachability sweeps; check calls
+        # no other function that imports scipy
+        done, loaded = _scipy_modules_after(
+            "from ioequil.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "check", str(data_path("toy2.csv")), "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["command"] == "check"
+        assert loaded == []

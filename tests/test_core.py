@@ -135,6 +135,89 @@ class TestIndecomposable:
         assert verdicts == {True, False}
 
 
+def _csgraph_oracle(a: np.ndarray) -> bool:
+    """One strong component by Tarjan's algorithm in scipy, independent of the sweeps."""
+    from scipy.sparse.csgraph import connected_components
+
+    count, _ = connected_components(a > 0.0, directed=True, connection="strong")
+    return count == 1
+
+
+def _block_coupled(rng, n: int, density: float, *, back: bool) -> np.ndarray:
+    """Two blocks of n/2 sectors coupled at 1e-3.
+
+    Without ``back`` the first block feeds nothing into the second.
+    """
+    a = rng.uniform(0.05, 1.0, (n, n))
+    if density < 1.0:
+        a[rng.uniform(size=(n, n)) >= density] = 0.0
+    first = np.arange(n) < n // 2
+    a[first[:, None] != first[None, :]] *= 1e-3
+    if not back:
+        a[np.ix_(first, ~first)] = 0.0
+    return a
+
+
+def _cycle(n: int) -> np.ndarray:
+    """Support of the directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    a = np.zeros((n, n))
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    return a
+
+
+class TestIndecomposableSweeps:
+    @pytest.mark.parametrize("n", [40, 400, 2000])
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_matches_csgraph_oracle(self, n, density):
+        rng = np.random.default_rng([n, int(10 * density)])
+        cases = [random_indecomposable(rng, n, density=density),
+                 _block_coupled(rng, n, density, back=True),
+                 _block_coupled(rng, n, density, back=False)]
+        verdicts = [is_indecomposable(a) for a in cases]
+        assert verdicts == [_csgraph_oracle(a) for a in cases]
+        assert verdicts[0] and not verdicts[2]
+
+    def test_long_cycle(self):
+        # every sweep step adds one sector: the most steps a sweep can take
+        a = _cycle(2000)
+        assert is_indecomposable(a)
+        a[1999, 0] = 0.0
+        assert not is_indecomposable(a)
+
+    @pytest.mark.parametrize("root_reaches", [True, False])
+    def test_reached_one_way_only(self, root_reaches):
+        # strictly triangular support: sector 0 reaches every sector and
+        # none reaches it back, or the transpose
+        a = np.triu(np.ones((30, 30)), 1)
+        assert not is_indecomposable(a if root_reaches else a.T)
+
+    @pytest.mark.parametrize("k", [0, 17, 29])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_zero_row_or_column(self, k, axis):
+        a = np.ones((30, 30))
+        if axis == 0:
+            a[k, :] = 0.0
+        else:
+            a[:, k] = 0.0
+        assert not is_indecomposable(a)
+
+    def test_strong_blocks_with_one_way_coupling(self):
+        a = np.ones((30, 30))
+        a[:10, 10:] = 0.0
+        assert not is_indecomposable(a)
+        assert not is_indecomposable(a.T)
+        a[0, 10] = 1.0
+        assert is_indecomposable(a)
+
+    def test_empty_matrix_is_not_indecomposable(self):
+        assert not is_indecomposable(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 3), (0, 2)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            is_indecomposable(np.ones(shape))
+
+
 class TestProductive:
     def test_zero_matrix(self):
         assert is_productive(Technology(np.zeros((3, 3))))
