@@ -103,8 +103,7 @@ def cmd_check(args) -> tuple[Report, int]:
     tech = table.technology
     failures: list[str] = []
 
-    rho = spectral_radius(tech.a)
-    productive = is_productive(tech, rho=rho)
+    productive = is_productive(tech)
     if not productive:
         failures.append("technology is not productive (spectral radius >= 1)")
     indecomposable = is_indecomposable(tech)
@@ -121,7 +120,7 @@ def cmd_check(args) -> tuple[Report, int]:
     results = {
         "productive": productive,
         "indecomposable": indecomposable,
-        "spectral_radius": rho,
+        "spectral_radius": spectral_radius(tech.a),
         "row_balance_gap": row_gap,
         "column_balance_gap": col_gap,
         "pass": not failures,

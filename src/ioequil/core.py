@@ -1,7 +1,7 @@
 """Non-negative matrix predicates, Leontief solves and polyhedral cones.
 
 Everything downstream builds on four primitives: strong connectivity of the
-support graph, the spectral-radius productivity test, membership of a vector
+support graph, the Leontief-solve productivity test, membership of a vector
 in the interior of a simplicial cone, and the complete family of strictly
 positive solutions of ``C y = psi`` when ``psi`` lies inside the cone
 spanned by the columns of ``C``.
@@ -19,10 +19,12 @@ and a separate max-norm residual test decides span membership.
 Fixed-point policy: a Perron vector whose multiplier is known to be one
 (prices, certificate prices, balanced weights) is one verified LU solve,
 ``perron_vector``, with exact zeros on zero rows and no iteration cap.
-Only the spectral radius, whose root is unknown, iterates
-``p <- (p + M p) / sum(p + M p)`` until the total and every entry settle
-to ``FIXED_POINT_TOL``; at ``FIXED_POINT_MAXITER`` steps it raises
-``NoConvergenceError`` (CLI exit 3) instead of returning the last iterate.
+Productivity needs no eigenvalue: ``is_productive`` decides from one solve
+of ``(E - A) x = 1``. Only the spectral radius that ``check`` reports,
+whose root is unknown, iterates ``p <- (p + M p) / sum(p + M p)`` until the
+total and every entry settle to ``FIXED_POINT_TOL``; at
+``FIXED_POINT_MAXITER`` steps it raises ``NoConvergenceError`` (CLI exit 3)
+instead of returning the last iterate.
 """
 
 from __future__ import annotations
@@ -109,12 +111,12 @@ class ConeMembership:
     coefficients: np.ndarray | None
 
 
-def matrix_rank(m, rtol: float = PIVOT_RTOL) -> int:
+def matrix_rank(m) -> int:
     """Rank from a column-pivoted QR factorization (LAPACK ``geqp3``).
 
-    Counts the diagonal entries of R that exceed ``rtol`` times the largest
-    absolute entry of the matrix, which keeps the decision deterministic
-    and dimension-free.
+    Counts the diagonal entries of R that exceed ``PIVOT_RTOL`` times the
+    largest absolute entry of the matrix, which keeps the decision
+    deterministic and dimension-free.
     """
     a = _matrix(m)
     if a.size == 0:
@@ -125,7 +127,7 @@ def matrix_rank(m, rtol: float = PIVOT_RTOL) -> int:
     from scipy.linalg import qr
 
     r, _ = qr(a, mode="r", pivoting=True)
-    return int(np.count_nonzero(np.abs(np.diag(r)) > rtol * scale))
+    return int(np.count_nonzero(np.abs(np.diag(r)) > PIVOT_RTOL * scale))
 
 
 def is_indecomposable(t: Technology | np.ndarray) -> bool:
@@ -224,24 +226,22 @@ def spectral_radius(a) -> float:
     raise NoConvergenceError("spectral radius iteration hit the cap")
 
 
-def is_productive(t: Technology, *, rho: float | None = None) -> bool:
-    """True iff the spectral radius of the direct-cost matrix is below one.
+def is_productive(t: Technology) -> bool:
+    """True iff the Leontief inverse maps the unit vector to a positive output.
 
-    The power-iteration verdict is cross-checked by solving
-    ``(E - A) x = 1`` and testing ``x > 0``; a disagreement near the
-    boundary is resolved conservatively as not productive. A caller that
-    already holds ``spectral_radius(t.a)`` passes it as ``rho``.
+    For non-negative A, ``x = (E - A)^-1 1 > 0`` holds exactly when the
+    spectral radius is below one (Hawkins-Simon), and then
+    ``rho <= 1 - 1 / max x`` (Collatz-Wielandt), so one solve decides. A
+    technology with ``max x >= 1 / POSITIVE_TOL``, whose radius may lie
+    within ``POSITIVE_TOL`` of one, counts as not productive, as does a
+    singular ``E - A``.
     """
-    if rho is None:
-        rho = spectral_radius(t.a)
-    if rho >= 1.0 - POSITIVE_TOL:
-        return False
     n = t.n
     try:
         x = np.linalg.solve(np.eye(n) - t.a, np.ones(n))
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(x > 0.0))
+    return bool(np.all(x > 0.0) and np.max(x, initial=0.0) * POSITIVE_TOL < 1.0)
 
 
 def leontief_solve(t: Technology, c) -> np.ndarray:
@@ -402,27 +402,22 @@ def positive_solution_family(c, psi) -> SolutionFamily:
         raise NotInteriorError("demand matrix is zero")
     scale = max(1.0, float(np.max(np.abs(psi))))
 
-    chosen = None
     for subset in itertools.combinations(range(l), r):
-        g = c[:, subset]
-        if matrix_rank(g) < r:
+        try:
+            membership = cone_membership(c[:, subset], psi)
+        except DegenerateGeneratorsError:
             continue
-        head = np.linalg.lstsq(g, psi, rcond=None)[0]
-        if np.any(head <= POSITIVE_TOL * scale):
-            continue
-        if float(np.max(np.abs(psi - g @ head))) > SPAN_TOL * scale:
-            continue
-        chosen = (subset, g, head)
-        break
-    if chosen is None:
+        if membership.status is ConeStatus.INTERIOR:
+            break
+    else:
         raise NotInteriorError(
             "target vector is not interior to the cone of any independent column subset"
         )
 
-    subset, g, psi_products = chosen
+    psi_products = membership.coefficients
     free = tuple(j for j in range(l) if j not in subset)
     # every column of C lies in the span of the rank-r subset: exact coordinates
-    free_products = np.linalg.lstsq(g, c[:, free], rcond=None)[0]
+    free_products = np.linalg.lstsq(c[:, subset], c[:, free], rcond=None)[0]
 
     z_base = np.zeros(l)
     z_base[list(subset)] = psi_products

@@ -131,11 +131,12 @@ def min_excess_qp(t: Technology, b) -> np.ndarray:
     return z
 
 
-def binding_rows(t: Technology, b, z, tol: float = BINDING_TOL) -> tuple[int, ...]:
+def binding_rows(t: Technology, b, z) -> tuple[int, ...]:
     """Rows where A z meets b within the documented tolerance."""
     b = _vector(b)
     image = t.a @ _vector(z)
-    return tuple(int(i) for i in np.flatnonzero(np.abs(b - image) <= tol * np.maximum(1.0, np.abs(b))))
+    binding = np.abs(b - image) <= BINDING_TOL * np.maximum(1.0, np.abs(b))
+    return tuple(int(i) for i in np.flatnonzero(binding))
 
 
 def _support_violation(t: Technology, b: np.ndarray, z: np.ndarray,

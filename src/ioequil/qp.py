@@ -78,16 +78,13 @@ def _nnls(matrix: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, f
 
 
 def _nearest(limits: np.ndarray, alpha: float) -> int | None:
-    """Index the scan ``if limit < alpha - 1e-15: alpha = limit`` ends on, or None.
+    """Index of the smallest step limit, or None when none is below ``alpha - 1e-15``.
 
-    That is the first limit below ``alpha - 1e-15`` within 1e-15 of the
-    smallest one, unless those limits form a chain of near-ties.
+    Ties go to the lowest index.
     """
-    below = np.flatnonzero(limits < alpha - 1e-15)
-    if below.size == 0:
+    if not np.any(limits < alpha - 1e-15):
         return None
-    near = limits[below] <= np.min(limits[below]) + 1e-15
-    return int(below[np.argmax(near)])
+    return int(np.argmin(limits))
 
 
 def _null_space_step(a_free: np.ndarray, null_basis: np.ndarray, residual: np.ndarray) -> np.ndarray:

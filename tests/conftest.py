@@ -308,6 +308,34 @@ def two_block(rng: np.random.Generator, n: int, k: int, coupling: float) -> np.n
     return a
 
 
+def equal_radius_blocks(rng: np.random.Generator, n: int, k: int, coupling: float) -> np.ndarray:
+    """Dense n x n matrix in two diagonal blocks (k and n - k sectors) of equal radius.
+
+    Every column sums to 0.45 and sends ``coupling`` of that into the other
+    block, so the radius is 0.45 and the second eigenvalue lies within
+    about ``coupling`` of it: a power iteration needs far more than 10^6
+    steps to separate them.
+    """
+    a = rng.uniform(0.05, 1.0, (n, n))
+    first = np.arange(n) < k
+    for j in range(n):
+        own = first == first[j]
+        a[own, j] *= (1.0 - coupling) * 0.45 / a[own, j].sum()
+        a[~own, j] *= coupling * 0.45 / a[~own, j].sum()
+    return a
+
+
+def leontief_value_table(rng: np.random.Generator, a: np.ndarray) -> IOTable:
+    """Balanced value table on A: X is the Leontief output of a random final demand,
+    T1 = 0.3 Delta and Z1 = 0.7 Delta."""
+    n = a.shape[0]
+    x = np.linalg.solve(np.eye(n) - a, rng.uniform(0.5, 1.5, n))
+    z = a * x[None, :]
+    delta = x - z.sum(axis=0)
+    return IOTable(tuple(f"s{k + 1}" for k in range(n)), z, x, 0.3 * delta, 0.7 * delta,
+                   x - z.sum(axis=1), np.zeros(n), np.zeros(n))
+
+
 def price_map(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The map diag(z / A z) A^T of prices_from_consumption (zero rows where z = 0)."""
     b_bar = a @ z

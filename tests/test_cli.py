@@ -12,10 +12,10 @@ import pytest
 import ioequil
 from ioequil import cli, load_table, loads_table, tax_family
 from ioequil.cli import main
-from ioequil.real_economy import analyze
+from ioequil.real_economy import analyze, dumps_table
 from ioequil.reporting import validate_report
 
-from conftest import data_path, two_block
+from conftest import data_path, equal_radius_blocks, leontief_value_table, two_block
 
 # (argv, exit code, SHA-256 of the --format json stdout) for every command on
 # the bundled tables. Refactors must keep these bytes; a change to them must be
@@ -286,6 +286,29 @@ class TestWeakCoupling:
         captured = capsys.readouterr()
         assert elapsed < 0.5
         assert code in (0, 1) and captured.err == ""
+        assert validate_report(json.loads(captured.out)) == []
+
+
+class TestEqualRadiusBlocks:
+    @pytest.mark.parametrize("argv", [["sustainable"], ["equilibrium"], ["tax", "best"]],
+                             ids=["sustainable", "equilibrium", "tax best"])
+    def test_answers_without_the_spectral_radius(self, capsys, tmp_path, monkeypatch, argv):
+        # both blocks have radius 0.45: the power iteration hits its cap
+        # here, and only check's reported radius may run it
+        from ioequil import core
+
+        def no_iteration(a):
+            raise AssertionError("only check reports the spectral radius")
+
+        monkeypatch.setattr(core, "spectral_radius", no_iteration)
+        monkeypatch.setattr(cli, "spectral_radius", no_iteration)
+        a = equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)
+        path = tmp_path / "equal-radius.csv"
+        path.write_text(dumps_table(leontief_value_table(np.random.default_rng(0), a)))
+        code = main([argv[0], str(path), *argv[1:], "--format", "json"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "error:" not in captured.err
         assert validate_report(json.loads(captured.out)) == []
 
 

@@ -23,7 +23,9 @@ from ioequil.errors import (
 
 from conftest import (
     cone_membership_reference,
+    equal_radius_blocks,
     indecomposable_oracle,
+    leontief_value_table,
     price_map,
     random_indecomposable,
     random_productive,
@@ -232,6 +234,27 @@ class TestProductive:
         assert spectral_radius_oracle(t.a) == pytest.approx(0.7, abs=1e-12)
         assert spectral_radius(t.a) == pytest.approx(0.7, abs=1e-9)
         assert is_productive(t)
+
+    def test_decided_without_the_spectral_radius(self, monkeypatch):
+        # radius 0.45 in both blocks: the power iteration hits its 10^6-step cap
+        a = equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)
+        t = leontief_value_table(np.random.default_rng(0), a).technology
+
+        def no_iteration(a):
+            raise AssertionError("productivity must not iterate for the spectral radius")
+
+        monkeypatch.setattr(core, "spectral_radius", no_iteration)
+        assert is_indecomposable(t)
+        assert is_productive(t)
+
+    def test_radius_within_positive_tol_of_one_is_not_productive(self, rng):
+        p = rng.uniform(0.1, 1.0, (6, 6))
+        p /= p.sum(axis=0)
+        assert not is_productive(Technology((1.0 - 1e-12) * p))
+        assert is_productive(Technology(0.5 * p))
+        # nilpotent, radius 0, but max x = 1e11 + 1 exceeds 1 / POSITIVE_TOL
+        assert not is_productive(Technology([[0.0, 1e11], [0.0, 0.0]]))
+        assert is_productive(Technology(np.zeros((0, 0))))
 
     def test_agrees_with_eigenvalues_and_solve(self, rng):
         for _ in range(100):
