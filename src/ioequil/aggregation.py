@@ -89,7 +89,7 @@ class AggregatedTable:
 
     @property
     def technology(self) -> Technology:
-        return Technology(self.a_bar, units="value")
+        return Technology(self.a_bar)
 
 
 def _aggregate_raw(fine: Technology, p: np.ndarray, x: np.ndarray,
@@ -150,7 +150,7 @@ def aggregate(fine: Technology, p, x, amap: AggregationMap) -> AggregatedTable:
 
 
 def scaling_identity_check(fine: Technology, p, x, amap: AggregationMap,
-                           p_hat, x_hat, tol: float = AGGREGATION_TOL) -> bool:
+                           p_hat, x_hat) -> bool:
     """Verify the exact action of coarse rescaling on the aggregated table.
 
     Rescaling fine prices by p_hat[f(i)] and outputs by x_hat[f(i)] must send
@@ -179,9 +179,9 @@ def scaling_identity_check(fine: Technology, p, x, amap: AggregationMap,
     expected_c = p_hat * x_hat * consumption
     scale = max(1.0, float(np.max(np.abs(expected_x))))
     return bool(
-        np.max(np.abs(a_bar2 - expected_a)) <= tol * max(1.0, float(np.max(expected_a)))
-        and np.max(np.abs(big_x2 - expected_x)) <= tol * scale
-        and np.max(np.abs(consumption2 - expected_c)) <= tol * scale
+        np.max(np.abs(a_bar2 - expected_a)) <= AGGREGATION_TOL * max(1.0, float(np.max(expected_a)))
+        and np.max(np.abs(big_x2 - expected_x)) <= AGGREGATION_TOL * scale
+        and np.max(np.abs(consumption2 - expected_c)) <= AGGREGATION_TOL * scale
     )
 
 
@@ -202,7 +202,7 @@ def relative_prices(table: AggregatedTable, delta_hat) -> np.ndarray:
 
 
 def aggregated_value_added_check(fine: Technology, p, x, amap: AggregationMap,
-                                 p_hat, tol: float = AGGREGATION_TOL) -> bool:
+                                 p_hat) -> bool:
     """Grouped fine value added under rescaled prices equals X_k delta_hat_k."""
     p = _vector(p, "price vector")
     x = _vector(x, "gross output")
@@ -218,4 +218,4 @@ def aggregated_value_added_check(fine: Technology, p, x, amap: AggregationMap,
     grouped = amap.indicator() @ (fine_margins * x)
     expected = big_x * delta_hat
     scale = max(1.0, float(np.max(np.abs(expected))))
-    return bool(np.max(np.abs(grouped - expected)) <= tol * scale)
+    return bool(np.max(np.abs(grouped - expected)) <= AGGREGATION_TOL * scale)

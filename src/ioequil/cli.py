@@ -105,7 +105,7 @@ def cmd_check(args) -> tuple[Report, int]:
 
     productive = is_productive(tech)
     if not productive:
-        failures.append("technology is not productive (spectral radius >= 1)")
+        failures.append("technology is not productive ((E - A) x = 1 has no positive bounded solution)")
     indecomposable = is_indecomposable(tech)
     if not indecomposable:
         failures.append("technology is decomposable (support graph not strongly connected)")
@@ -157,7 +157,8 @@ def cmd_sustainable(args) -> tuple[Report, int]:
             "interval": list(bounds.beta_interval) if bounds.beta_interval else None,
             "witness_beta": bounds.witness_beta,
         }
-    report = Report("sustainable", digest, results)
+    report = Report("sustainable", digest, results,
+                    analysis.bounds.diagnostics if args.tax_bounds else ())
     positive = verdict.sustainable and analysis.sustainable_at_unit_prices
     return report, EXIT_OK if positive else EXIT_NEGATIVE
 
@@ -191,7 +192,7 @@ def cmd_equilibrium(args) -> tuple[Report, int]:
 def cmd_tax(args) -> tuple[Report, int]:
     table, digest = _load(args, args.tol)
     tech = table.technology
-    code = EXIT_OK
+    code, diagnostics = EXIT_OK, ()
     if args.mode == "existing":
         results = {"mode": "existing", "pi0": _vector_list(taxation.real_tax_vector(table))}
     elif args.mode == "best":
@@ -217,6 +218,7 @@ def cmd_tax(args) -> tuple[Report, int]:
             results["final_Y"] = _vector_list(bounds.final_y)
         if not bounds.feasible:
             code = EXIT_NEGATIVE
+        diagnostics = bounds.diagnostics
     else:
         system = taxation.value_added_tax(tech)
         results = {
@@ -225,7 +227,7 @@ def cmd_tax(args) -> tuple[Report, int]:
             "X0": _vector_list(system.x0),
             "final_basis": _vector_list(system.base),
         }
-    report = Report("tax", digest, results)
+    report = Report("tax", digest, results, diagnostics)
     return report, code
 
 

@@ -7,7 +7,8 @@ positive solutions of ``C y = psi`` when ``psi`` lies inside the cone
 spanned by the columns of ``C``.
 
 Linear-algebra policy: library factorizations, not hand-written loops.
-Rank decisions count the pivots of a column-pivoted QR (Businger & Golub)
+Square matrices are singular unless ``nonsingular_lu`` accepts their LU;
+rectangular ranks count the pivots of a column-pivoted QR (Businger & Golub)
 above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
 is a single strong component of the support digraph, decided in numpy by
 two breadth-first reachability sweeps from sector 0 (one along the edges,
@@ -72,15 +73,10 @@ def _matrix(x, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Technology:
-    """Square non-negative direct-cost matrix.
-
-    Column ``i`` holds the inputs consumed to produce one unit of good
-    ``i``; ``units`` records whether entries are natural quantities or
-    value (price-weighted) coefficients.
-    """
+    """Square non-negative direct-cost matrix; column ``i`` holds the inputs
+    consumed to produce one unit of good ``i``."""
 
     a: np.ndarray
-    units: str = "natural"
 
     def __post_init__(self):
         a = _matrix(self.a, "direct-cost matrix")
@@ -88,8 +84,6 @@ class Technology:
             raise ValueError(f"direct-cost matrix must be square, got {a.shape}")
         if np.any(a < 0):
             raise ValueError("direct-cost matrix must be non-negative")
-        if self.units not in ("natural", "value"):
-            raise ValueError(f"units must be 'natural' or 'value', got {self.units!r}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -128,6 +122,16 @@ def matrix_rank(m) -> int:
 
     r, _ = qr(a, mode="r", pivoting=True)
     return int(np.count_nonzero(np.abs(np.diag(r)) > PIVOT_RTOL * scale))
+
+
+def nonsingular_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """LU factors ``(lu, piv)`` of a square matrix (LAPACK ``getrf``), or None when a
+    pivot is zero or ``gecon``'s 1-norm reciprocal condition is at most ``PIVOT_RTOL``."""
+    from scipy.linalg.lapack import dgecon, dgetrf
+
+    lu, piv, info = dgetrf(m)
+    singular = info != 0 or dgecon(lu, np.linalg.norm(m, 1))[0] <= PIVOT_RTOL
+    return None if singular else (lu, piv)
 
 
 def is_indecomposable(t: Technology | np.ndarray) -> bool:
@@ -176,22 +180,21 @@ def perron_vector(m: np.ndarray, what: str) -> np.ndarray:
     """Fixed point ``M p = p`` on the simplex of a non-negative M with multiplier one.
 
     Zero rows of M force zero entries. The other rows L solve
-    ``(E - M_LL + 1 1^T) p_L = 1`` by one LU; that matrix is nonsingular
-    exactly when the eigenvalue one is simple, judged by a reciprocal
-    condition number (LAPACK ``gecon``) above ``PIVOT_RTOL``. Negative dust
-    within ``POSITIVE_TOL * max p`` is zeroed; then p must be finite,
-    non-negative and satisfy ``|M p - p| <= MULTIPLIER_TOL * max p``.
+    ``(E - M_LL + 1 1^T) p_L = 1`` on the factors of ``nonsingular_lu``;
+    that matrix is nonsingular exactly when the eigenvalue one is simple.
+    Negative dust within ``POSITIVE_TOL * max p`` is zeroed; then p must be
+    finite, non-negative and satisfy ``|M p - p| <= MULTIPLIER_TOL * max p``.
     Failures raise HypothesisViolatedError naming ``what``.
     """
-    from scipy.linalg.lapack import dgecon, dgesv
+    from scipy.linalg.lapack import dgetrs
 
     p = np.zeros(m.shape[0])
     live = np.flatnonzero(np.any(m != 0.0, axis=1))
     if live.size:
-        system = np.eye(live.size) - m[np.ix_(live, live)] + 1.0
-        lu, _, p[live], info = dgesv(system, np.ones(live.size))
-        if info != 0 or dgecon(lu, np.linalg.norm(system, 1))[0] <= PIVOT_RTOL:
+        factors = nonsingular_lu(np.eye(live.size) - m[np.ix_(live, live)] + 1.0)
+        if factors is None:
             raise HypothesisViolatedError(f"{what}: the eigenvalue one is not simple")
+        p[live] = dgetrs(*factors, np.ones(live.size))[0]
     top = float(np.max(p))
     p[(p < 0.0) & (p >= -POSITIVE_TOL * top)] = 0.0
     if not (np.all(np.isfinite(p)) and np.all(p >= 0.0) and top > 0.0

@@ -26,7 +26,7 @@ class BalanceError(ModelError):
 # --- analysis preconditions ------------------------------------------------
 
 class NotProductiveError(ModelError):
-    """Direct-cost matrix has spectral radius >= 1."""
+    """The Leontief solve ``(E - A) x = 1`` gives no positive x below ``1 / POSITIVE_TOL``."""
 
 
 class DecomposableError(ModelError):

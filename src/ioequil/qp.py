@@ -2,9 +2,9 @@
 
     min ||A z - b||^2   subject to   z >= 0,  A z <= b.
 
-When A is square and passes the rank test of ``core.perron_vector`` (one
-LU factorization whose reciprocal condition number, LAPACK gecon, exceeds
-PIVOT_RTOL), the substitution u = A z - b turns the program into
+When A is square and ``core.nonsingular_lu`` factors it (no zero pivot and
+a reciprocal condition number, LAPACK gecon, above PIVOT_RTOL), the
+substitution u = A z - b turns the program into
 the least-distance program min ||u|| subject to G u >= h, with
 G = [A^-1; -I] and h = [-A^-1 b; 0] (Lawson and Hanson, Solving Least
 Squares Problems, 1974, ch. 23). One NNLS fit of e_{n+1} by the columns of
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PIVOT_RTOL
+from .core import PIVOT_RTOL, nonsingular_lu
 from .errors import SolverStallError
 
 KKT_TOL = 1e-10
@@ -106,20 +106,18 @@ def _least_distance_start(a: np.ndarray, b: np.ndarray,
                           scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(z, bounds, binding rows) of the least-distance optimum, or None.
 
-    None when A is not square or fails the LU rank test, or when the working
-    rows on the free variables are dependent or the rebuilt z is infeasible
-    beyond ``STEP_TOL * scale``; negative dust within it is zeroed.
+    None when A is not square or ``core.nonsingular_lu`` rejects it, when the
+    working rows on the free variables are dependent, or when the rebuilt z is
+    infeasible beyond ``STEP_TOL * scale``; negative dust within it is zeroed.
     """
     from scipy.linalg import solve_triangular
-    from scipy.linalg.lapack import dgecon, dgetrf, dgetri
+    from scipy.linalg.lapack import dgetri
 
     n = b.shape[0]
-    if a.shape != (n, n):
+    factors = nonsingular_lu(a) if a.shape == (n, n) else None
+    if factors is None:
         return None
-    lu, piv, info = dgetrf(a)
-    if info != 0 or dgecon(lu, np.linalg.norm(a, 1))[0] <= PIVOT_RTOL:
-        return None
-    inverse, _ = dgetri(lu, piv)
+    inverse, _ = dgetri(*factors)
     # columns of [G^T; h^T] with u = A z - b: z >= 0 reads A^-1 u >= -A^-1 b,
     # A z <= b reads -u >= 0
     ldp = np.zeros((n + 1, 2 * n))

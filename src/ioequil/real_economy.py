@@ -60,7 +60,7 @@ class IOTable:
 
     @property
     def technology(self) -> Technology:
-        return Technology(self.a_bar, units="value")
+        return Technology(self.a_bar)
 
 
 def balance_gaps(table: IOTable) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +292,7 @@ def analyze(table: IOTable, p_hat=None) -> RealEconomyReport:
             raise ValueError("relative prices must be strictly positive n-vector")
         # rescale to the economy measured at the relative prices
         a_hat = (p_hat[:, None] * tech.a) / p_hat[None, :]
-        tech = Technology(a_hat, units="value")
+        tech = Technology(a_hat)
         big_x = p_hat * big_x
 
     column_margins = 1.0 - tech.a.sum(axis=0)

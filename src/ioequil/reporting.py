@@ -78,9 +78,8 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def validate_report(document: dict, schema: dict | None = None) -> list[str]:
+def validate_report(document: dict) -> list[str]:
     """Structural validation against the bundled schema; returns error list."""
-    schema = schema or load_schema()
     errors: list[str] = []
 
     def walk(node, rule, path):
@@ -115,5 +114,5 @@ def validate_report(document: dict, schema: dict | None = None) -> list[str]:
         if "enum" in rule and node not in rule["enum"]:
             errors.append(f"{path}: value {node!r} not in enum")
 
-    walk(document, schema, "$")
+    walk(document, load_schema(), "$")
     return errors

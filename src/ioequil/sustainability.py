@@ -19,6 +19,7 @@ from .core import (
     is_indecomposable,
     is_productive,
     matrix_rank,
+    nonsingular_lu,
     perron_vector,
 )
 from .errors import (
@@ -98,11 +99,12 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     if not is_indecomposable(t):
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
-    rank = matrix_rank(t.a)
-    if rank == t.n:
+    if nonsingular_lu(t.a) is not None:
+        # numpy and scipy ship different OpenBLAS builds whose solves differ in the
+        # last digits: numpy keeps the certificate's bytes at the cost of a second LU
         b1 = np.linalg.solve(t.a, x)
     else:
-        b1 = _singular_intermediate(t.a, x, rank)
+        b1 = _singular_intermediate(t.a, x, matrix_rank(t.a))
     if b1 is None or not _is_positive_certificate(t.a, b1):
         return SustainabilityVerdict(False, None, None, None, None)
 

@@ -191,7 +191,7 @@ def test_criterion_5_taxation_existence():
         n = int(rng.integers(2, 7))
         a = random_indecomposable(rng, n)
         a *= rng.uniform(0.2, 0.9, n) / a.sum(axis=0)
-        t = Technology(a, units="value")
+        t = Technology(a)
         big_x = rng.uniform(0.5, 3.0, n)
         delta = (1.0 - a.sum(axis=0)) * big_x
         family = tax_family(t, big_x, delta)
@@ -213,7 +213,7 @@ def test_criterion_6_bounds_reconstruction():
         n = int(rng.integers(2, 7))
         a = random_indecomposable(rng, n)
         a *= rng.uniform(0.2, 0.9, n) / a.sum(axis=0)
-        t = Technology(a, units="value")
+        t = Technology(a)
         ratios = 1.0 - a.sum(axis=0)
         if trial % 2 == 0:
             pi = rng.uniform(0.05, 0.95, n)
@@ -277,7 +277,7 @@ def test_criterion_8_worked_micro_examples():
     point = solution_from_alpha(sym, ones, np.array([0.5, 0.5]))
     assert abs(point.scale - 1.2) < 1e-10
 
-    value_units = Technology(sym.a, units="value")
+    value_units = Technology(sym.a)
     family = tax_family(value_units, ones, np.array([0.5, 0.5]))
     assert abs(family.c0_max - 4.0) < 1e-10
     for c0 in (0.5, 1.0, 2.5, 4.0):

@@ -12,7 +12,7 @@ import pytest
 import ioequil
 from ioequil import cli, load_table, loads_table, tax_family
 from ioequil.cli import main
-from ioequil.real_economy import analyze, dumps_table
+from ioequil.real_economy import IOTable, analyze, dumps_table
 from ioequil.reporting import validate_report
 
 from conftest import data_path, equal_radius_blocks, leontief_value_table, two_block
@@ -157,6 +157,24 @@ class TestCheck:
         assert any(d.startswith("row balance off by relative 0.01") for d in doc["diagnostics"])
         assert not any("column balance" in d for d in doc["diagnostics"])
 
+    def test_unproductive_note_makes_no_claim_on_the_radius(self, capsys, tmp_path):
+        # A = (1 - 1e-11) P for a column-stochastic P: rho = 1 - 1e-11 < 1, but
+        # max (E - A)^-1 1 exceeds 1 / POSITIVE_TOL, so the solve calls it not productive
+        a = (1.0 - 1e-11) * np.array([[0.6, 0.3], [0.4, 0.7]])
+        gap = 1.0 - a.sum(axis=1)
+        value_added = 0.5 * (1.0 - a.sum(axis=0))
+        table = IOTable(names=("s1", "s2"), z=a, big_x=np.ones(2), t1=value_added,
+                        z1=value_added, consumption=np.maximum(gap, 0.0),
+                        exports=np.zeros(2), imports=np.maximum(-gap, 0.0))
+        path = tmp_path / "near-unit-radius.csv"
+        path.write_text(dumps_table(table))
+        code, doc = run_json(capsys, ["check", str(path), "--format", "json"])
+        assert code == 1
+        assert doc["results"]["productive"] is False
+        assert doc["results"]["spectral_radius"] < 1.0
+        assert any("not productive" in d for d in doc["diagnostics"])
+        assert not any("spectral radius" in d or ">= 1" in d for d in doc["diagnostics"])
+
 
 class TestSustainable:
     def test_toy_verdict_with_certificate(self, capsys, toy2):
@@ -194,6 +212,20 @@ class TestSustainable:
         code, doc = run_json(capsys, ["sustainable", str(path), "--format", "json"])
         assert code == 1
         assert doc["results"]["criterion"]["sustainable"] is False
+
+
+class TestUntaxedSectorNote:
+    @pytest.mark.parametrize("argv", [["tax", "bounds"], ["sustainable", "--tax-bounds"]],
+                             ids=["tax bounds", "sustainable --tax-bounds"])
+    def test_reports_carry_the_tax_bounds_note(self, capsys, tmp_path, argv):
+        # toy2 with sector agri untaxed: T1 = (0, 0.25), Z1 = (0.5, 0.25)
+        path = tmp_path / "toy2_untaxed.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace(
+            "T1,0.25,0.25\nZ1,0.25,0.25", "T1,0,0.25\nZ1,0.5,0.25"))
+        code, doc = run_json(capsys, [argv[0], str(path), *argv[1:], "--format", "json"])
+        assert code == 1
+        assert doc["diagnostics"] == [
+            "some sectors are untaxed; the feasibility bounds assume strictly positive taxation"]
 
 
 class TestEquilibrium:
@@ -603,6 +635,17 @@ class TestImportCost:
         assert done.returncode == 0
         assert json.loads(done.stdout)["results"]["excess_level"] == 0.0
         assert loaded == []
+
+    def test_sustainable_loads_no_scipy_optimize_or_sparse(self):
+        # toy2's A passes core.nonsingular_lu, which imports scipy.linalg on
+        # call; the singular branch's linear program is never reached
+        done, loaded = _scipy_modules_after(
+            "from ioequil.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "sustainable", str(data_path("toy2.csv")), "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["command"] == "sustainable"
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])]
 
     def test_check_loads_no_scipy(self):
         # indecomposability is two numpy reachability sweeps; check calls

@@ -48,10 +48,6 @@ class TestTechnology:
         with pytest.raises(ValueError):
             Technology([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
 
-    def test_rejects_unknown_units(self):
-        with pytest.raises(ValueError):
-            Technology([[0.1]], units="tons")
-
     def test_matrix_is_frozen(self):
         t = Technology([[0.1]])
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ def table_from_value_added_system(rng, n):
     """Table whose observed taxation reproduces the value-added system."""
     a = rng.uniform(0.05, 0.5, (n, n))
     a *= rng.uniform(0.3, 0.8, n) / a.sum(axis=0)
-    tech = Technology(a, units="value")
+    tech = Technology(a)
     x0 = balanced_eigenvector(a.T)
     big_x = x0 * float(rng.uniform(2.0, 10.0))
     z = a * big_x[None, :]

@@ -7,7 +7,6 @@ from ioequil.reporting import (
     Report,
     canonical_json,
     digest_bytes,
-    load_schema,
     validate_report,
 )
 
@@ -51,8 +50,7 @@ class TestReport:
         assert decoded["diagnostics"] == ["note"]
 
     def test_schema_catches_missing_key(self):
-        schema = load_schema()
-        errors = validate_report({"command": "check"}, schema)
+        errors = validate_report({"command": "check"})
         assert any("missing required key" in e for e in errors)
 
     def test_schema_catches_bad_command(self):

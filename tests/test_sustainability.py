@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ioequil import Technology, check_sustainable, clearing_residual, load_table
-from ioequil.core import matrix_rank
-from ioequil.errors import NotProductiveError, ZeroDenominatorError
+from ioequil.core import matrix_rank, nonsingular_lu, perron_vector
+from ioequil.errors import HypothesisViolatedError, NotProductiveError, ZeroDenominatorError
+from ioequil.qp import solve_min_excess
 
-from conftest import data_path, random_productive, spectral_radius_oracle
+from conftest import data_path, random_indecomposable, random_productive, spectral_radius_oracle
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -160,6 +161,8 @@ class TestSingularBranch:
 class TestRankCalls:
     @pytest.mark.parametrize("singular", [False, True])
     def test_rank_computed_once(self, rng, monkeypatch, singular):
+        # the rank slices the SVD of the singular branch; a nonsingular A
+        # passes core.nonsingular_lu and needs no rank
         from ioequil import sustainability
 
         calls = []
@@ -173,7 +176,82 @@ class TestRankCalls:
         t = make_singular_productive(rng, 5) if singular else random_productive(rng, 5)
         x = t.a @ np.linalg.solve(np.eye(5) - t.a, rng.uniform(0.5, 1.5, 5))
         check_sustainable(t, x)
+        assert len(calls) == (1 if singular else 0)
+
+
+def dependent_columns(rng, n: int, k: int, density: float) -> np.ndarray:
+    """Non-negative n x n matrix of rank n - k: each of its last k columns is a
+    convex combination of two of the first n - k."""
+    a = random_indecomposable(rng, n, density=density)
+    for j in range(n - k, n):
+        first, second = rng.choice(n - k, 2, replace=False)
+        weight = rng.uniform(0.2, 0.8)
+        a[:, j] = weight * a[:, first] + (1.0 - weight) * a[:, second]
+    return a
+
+
+class TestOneSingularityTest:
+    """core.nonsingular_lu decides singularity for the Perron solve, the QP
+    start and the sustainability solve."""
+
+    def test_agrees_with_svd_rank_on_toy3_and_singular_productive_tables(self, rng):
+        cases = [load_table(data_path("toy3.csv")).technology.a]
+        cases += [make_singular_productive(np.random.default_rng(seed), n).a
+                  for seed in range(5) for n in (3, 5, 12)]
+        for a in cases:
+            assert np.linalg.matrix_rank(a) < a.shape[0]
+            assert nonsingular_lu(a) is None
+
+    @pytest.mark.parametrize("density", [1.0, 0.3], ids=["dense", "30%"])
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("k", [1, 5], ids=["rank n-1", "rank n-5"])
+    def test_agrees_with_svd_rank_on_dependent_columns(self, density, n, k):
+        a = dependent_columns(np.random.default_rng([k, n]), n, k, density)
+        assert np.linalg.matrix_rank(a) == n - k
+        assert nonsingular_lu(a) is None
+
+    @pytest.mark.parametrize("density", [1.0, 0.3], ids=["dense", "30%"])
+    @pytest.mark.parametrize("n", [5, 60, 200])
+    def test_agrees_with_svd_rank_on_productive_tables(self, density, n):
+        for seed in range(3):
+            a = random_productive(np.random.default_rng([seed, n]), n, density=density).a
+            assert np.linalg.matrix_rank(a) == n
+            lu, piv = nonsingular_lu(a)
+            # the factors reproduce A: P L U with unit-diagonal L
+            perm = np.arange(n)
+            for i, p in enumerate(piv):
+                perm[[i, p]] = perm[[p, i]]
+            product = (np.tril(lu, -1) + np.eye(n)) @ np.triu(lu)
+            assert np.allclose(product, a[perm], atol=1e-14)
+
+    def test_rejected_lu_takes_every_singular_branch(self, rng, monkeypatch):
+        from ioequil import core, qp, sustainability
+
+        t = random_productive(rng, 6)
+        row_stochastic = t.a / t.a.sum(axis=1, keepdims=True)
+        supply = 0.7 * np.linalg.solve(np.eye(6) - t.a, rng.uniform(0.5, 1.5, 6))
+        x = t.a @ np.linalg.solve(np.eye(6) - t.a, rng.uniform(0.5, 1.5, 6))
+        assert np.allclose(perron_vector(row_stochastic, "test"), np.full(6, 1.0 / 6.0))
+        assert solve_min_excess(t.a, supply).start == "ldp"
+        assert check_sustainable(t, x).sustainable
+
+        calls = []
+        original = sustainability.matrix_rank
+
+        def counted(m):
+            calls.append(1)
+            return original(m)
+
+        # the sustainability solve first: its certificate prices need core's binding
+        monkeypatch.setattr(sustainability, "nonsingular_lu", lambda m: None)
+        monkeypatch.setattr(sustainability, "matrix_rank", counted)
+        assert check_sustainable(t, x).sustainable
         assert len(calls) == 1
+        monkeypatch.setattr(core, "nonsingular_lu", lambda m: None)
+        monkeypatch.setattr(qp, "nonsingular_lu", lambda m: None)
+        with pytest.raises(HypothesisViolatedError, match="the eigenvalue one is not simple"):
+            perron_vector(row_stochastic, "test")
+        assert solve_min_excess(t.a, supply).start == "nnls"
 
 
 class TestClearingResidual:

@@ -15,7 +15,7 @@ from ioequil.errors import BalanceInconsistentError, ZeroBaseError, ZeroValueAdd
 
 from conftest import data_path, random_indecomposable
 
-SYM_VALUE = Technology([[0.2, 0.3], [0.3, 0.2]], units="value")
+SYM_VALUE = Technology([[0.2, 0.3], [0.3, 0.2]])
 
 
 def random_value_units(rng, n, density=1.0):
@@ -23,7 +23,7 @@ def random_value_units(rng, n, density=1.0):
     a = random_indecomposable(rng, n, density=density)
     targets = rng.uniform(0.2, 0.9, n)
     a *= targets / a.sum(axis=0)
-    return Technology(a, units="value")
+    return Technology(a)
 
 
 class TestTaxFamily:
