@@ -44,11 +44,19 @@ def _parse_comma_list(text: str, flag: str) -> np.ndarray:
         raise ParseError(f"{flag}: expected a comma-separated list of numbers, got {text!r}") from exc
 
 
+def tolerance(text: str) -> float:
+    """A --tol value: a number >= 0, infinity included; argparse rejects NaN,
+    negatives and non-numbers as an invalid tolerance (exit 2)."""
+    if not float(text) >= 0.0:
+        raise ValueError(text)
+    return float(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=real_economy.DEFAULT_BALANCE_TOL,
+    common.add_argument("--tol", type=tolerance, default=real_economy.DEFAULT_BALANCE_TOL,
                         help="relative balance tolerance for table validation")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
@@ -317,6 +325,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
+        rendered = report.to_json() + "\n" if args.format == "json" else _render_text(report)
+        if args.out is not None and args.command != "aggregate":
+            Path(args.out).write_text(rendered, encoding="utf-8")
     except PipelineError as exc:
         cause = exc.cause
         print(f"error: {exc}", file=sys.stderr)
@@ -331,10 +342,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
 
-    rendered = report.to_json() + "\n" if args.format == "json" else _render_text(report)
     print(rendered, end="")
-    if args.out is not None and args.command != "aggregate":
-        Path(args.out).write_text(rendered, encoding="utf-8")
     return code
 
 

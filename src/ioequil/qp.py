@@ -14,12 +14,14 @@ binding supply row k. A^-1 amplifies the rounding of u, so z is rebuilt on
 that working set: the particular solution Q1 R^-T b_R of the binding rows
 plus the least-squares step in their null space (below).
 
-When A is singular, or the rebuilt point is infeasible, the loop starts
-instead from the NNLS point y of min ||A y - b|| over y >= 0, scaled back
-into the feasible set: z = s y with s = min_k b_k / (A y)_k over the rows
-where A y is positive, or z = 0 when A y has no positive entry. Only the
-zero bounds of z start in the working set; a supply row the start touches
-enters through the ratio test.
+A singular square A takes the same start from the shifted matrix
+A + SHIFT max|A| E: the NNLS and its working set come from the shifted
+factors, while the rebuild of z, its feasibility test and the loop's
+certificate stay on A itself. The shifted working set is only a guess, so
+a wrong one costs iterations, not correctness. When no start survives
+(A is not square, the shifted matrix fails the LU test too, or the rebuilt
+point is infeasible) the loop starts at z = 0 with every bound in the
+working set.
 
 The equality-constrained subproblems are solved by a null-space method,
 which stays well-posed when A^T A is singular. One Householder QR of the
@@ -34,8 +36,8 @@ zero step and non-negative multipliers.
 Where no multiplier is negative beyond the tolerance, the point is
 certified by the residual ||g - N max(multipliers, 0)|| of the gradient g
 against the working constraint normals N = [e_i (bounds), -a_k (rows)].
-So a solve makes one NNLS call, the least-distance fit or, on a singular A,
-the scaled start's fit; only an infeasible rebuilt point adds the second.
+So a solve on a square A makes at most one NNLS call, the least-distance
+fit, and none on any other A.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .errors import SolverStallError
 
 KKT_TOL = 1e-10
 STEP_TOL = 1e-13
+# relative diagonal shift that makes a singular A pass the LU test: on rank
+# n-1 tables 1e-8 left 1 of 10 shifted matrices rejected, and 1e-10 left 5
+SHIFT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class QPResult:
     kkt_residual: float
     iterations: int
     binding_rows: tuple[int, ...]
-    start: str               # "ldp", "nnls" or "zero": the point the loop started from
+    start: str               # "ldp", "shifted" or "zero": the point the loop started from
 
 
 def nnls(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -103,18 +108,25 @@ def _null_space_step(a_free: np.ndarray, null_basis: np.ndarray, residual: np.nd
 
 
 def _least_distance_start(a: np.ndarray, b: np.ndarray,
-                          scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(z, bounds, binding rows) of the least-distance optimum, or None.
+                          scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, str] | None:
+    """(z, bounds, binding rows, start) of the least-distance optimum, or None.
 
-    None when A is not square or ``core.nonsingular_lu`` rejects it, when the
-    working rows on the free variables are dependent, or when the rebuilt z is
-    infeasible beyond ``STEP_TOL * scale``; negative dust within it is zeroed.
+    The start is "ldp" when ``core.nonsingular_lu`` factors A and "shifted"
+    when it factors A + SHIFT max|A| E instead; the NNLS runs on those
+    factors, the rebuild of z on A. None when A is not square or both
+    factorizations are rejected, when the working rows on the free
+    variables are dependent, or when the rebuilt z is infeasible beyond
+    ``STEP_TOL * scale``; negative dust within it is zeroed.
     """
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dgetri
 
     n = b.shape[0]
-    factors = nonsingular_lu(a) if a.shape == (n, n) else None
+    if a.shape != (n, n):
+        return None
+    factors, start = nonsingular_lu(a), "ldp"
+    if factors is None:
+        factors, start = nonsingular_lu(a + SHIFT * np.max(np.abs(a)) * np.eye(n)), "shifted"
     if factors is None:
         return None
     inverse, _ = dgetri(*factors)
@@ -145,7 +157,7 @@ def _least_distance_start(a: np.ndarray, b: np.ndarray,
     if np.min(z) < -STEP_TOL * scale or np.max(a @ z - b) > STEP_TOL * scale:
         return None
     z[z < 0.0] = 0.0
-    return z, bound, binding
+    return z, bound, binding, start
 
 
 def _kkt_residual(a: np.ndarray, gradient: np.ndarray, fixed: np.ndarray, rows: np.ndarray,
@@ -161,12 +173,11 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the least-distance working set.
 
     The start (module docstring) is the rebuilt least-distance optimum with
-    its bounds and binding rows; on a singular A, or when that point is
-    infeasible, it is z = s y from the scaled NNLS point, or z = 0 when A y
-    has no positive entry. Each iteration factors the working supply rows
-    on the free variables once, A[rows, F]^T = Q R: the trailing columns of
-    Q span the null space the step lives in, and at a stationary point the
-    row multipliers come from R. Where none is negative the same multipliers
+    its bounds and binding rows, or z = 0 with every bound in the working
+    set. Each iteration factors the working supply rows on the free
+    variables once, A[rows, F]^T = Q R: the trailing columns of Q span the
+    null space the step lives in, and at a stationary point the row
+    multipliers come from R. Where none is negative the same multipliers
     certify the point. Raises SolverStallError when the iteration cap of
     100 (n + m + 2) is hit, when the certificate fails (a degenerate working
     set that cannot be improved) or when the NNLS solve hits its own cap.
@@ -176,20 +187,9 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
     n, mvar = a.shape
     max_iter = 100 * (n + mvar + 2)
     scale = max(1.0, float(np.max(np.abs(b))))
-    least_distance = _least_distance_start(a, b, scale)
-    if least_distance is not None:
-        z, bound, binding = least_distance   # working bounds z_i = 0, rows (A z)_k = b_k
-        start = "ldp"
-    else:
-        y, _ = _nnls(a, b, "warm start")
-        image = a @ y
-        positive = image > 0.0
-        if np.any(positive):
-            z, start = float(np.min(b[positive] / image[positive])) * y, "nnls"
-        else:
-            z, start = np.zeros(mvar), "zero"
-        bound = z == 0.0
-        binding = np.zeros(n, dtype=bool)
+    # working bounds z_i = 0, rows (A z)_k = b_k
+    z, bound, binding, start = _least_distance_start(a, b, scale) or (
+        np.zeros(mvar), np.ones(mvar, dtype=bool), np.zeros(n, dtype=bool), "zero")
 
     for it in range(max_iter):
         free = np.flatnonzero(~bound)

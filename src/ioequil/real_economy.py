@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import taxation
-from .core import Technology, _vector
+from .core import Technology
 from .equilibrium import EquilibriumState, assemble_equilibrium
 from .errors import BalanceError, ParseError, ZeroValueAddedError
 from .taxation import TaxBoundsReport, tax_bounds, taxed_clearing_residual
@@ -268,13 +268,13 @@ class RealEconomyReport:
     supply: np.ndarray
 
 
-def analyze(table: IOTable, p_hat=None) -> RealEconomyReport:
+def analyze(table: IOTable) -> RealEconomyReport:
     """Full existing-taxation workflow on a value table.
 
     Computes the observed taxation vector, tests the exact sustainability
-    equalities at the given relative prices (unit by default), and when they
-    fail assembles the minimum-excess equilibrium over the after-tax supply
-    psi = (1 - pi0) * X; the taxation bounds test runs either way.
+    equalities at unit prices, and when they fail assembles the
+    minimum-excess equilibrium over the after-tax supply psi = (1 - pi0) * X;
+    the taxation bounds test runs either way.
     """
     delta = table.delta
     for i, value in enumerate(delta):
@@ -286,15 +286,6 @@ def analyze(table: IOTable, p_hat=None) -> RealEconomyReport:
 
     tech = table.technology
     big_x = table.big_x
-    if p_hat is not None:
-        p_hat = _vector(p_hat, "relative prices")
-        if p_hat.shape[0] != table.n or np.any(p_hat <= 0.0):
-            raise ValueError("relative prices must be strictly positive n-vector")
-        # rescale to the economy measured at the relative prices
-        a_hat = (p_hat[:, None] * tech.a) / p_hat[None, :]
-        tech = Technology(a_hat)
-        big_x = p_hat * big_x
-
     column_margins = 1.0 - tech.a.sum(axis=0)
     residual = taxed_clearing_residual(tech, big_x, pi0)
     rel_residual = float(np.max(np.abs(residual))) / max(1.0, float(np.max(big_x)))

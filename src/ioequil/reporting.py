@@ -34,7 +34,7 @@ def _canonical(value) -> str:
         if not np.isfinite(value):
             raise ValueError(f"non-finite float in report: {value}")
         text = format(value, FLOAT_FORMAT)
-        return text if any(c in text for c in ".eE") or text in ("inf", "-inf") else text + ".0"
+        return text if any(c in text for c in ".eE") else text + ".0"
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):

@@ -80,6 +80,17 @@ def column_sums_in_value_units(rng: np.random.Generator, a: np.ndarray) -> np.nd
     return a * (rng.uniform(0.35, 0.75, a.shape[0]) / a.sum(axis=0))
 
 
+def dependent_columns(rng: np.random.Generator, n: int, k: int, density: float) -> np.ndarray:
+    """Non-negative n x n matrix of rank n - k: each of its last k columns is a
+    convex combination of two of the first n - k."""
+    a = random_indecomposable(rng, n, density=density)
+    for j in range(n - k, n):
+        first, second = rng.choice(n - k, 2, replace=False)
+        weight = rng.uniform(0.2, 0.8)
+        a[:, j] = weight * a[:, first] + (1.0 - weight) * a[:, second]
+    return a
+
+
 def value_table_supply(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
     """Supply 0.7 (E - A)^-1 c of a value table, as bench/gen.py taxes it."""
     n = a.shape[0]
@@ -437,8 +448,8 @@ def solution_family_reference(c: np.ndarray, psi: np.ndarray):
 
 # Reference copy of the active-set loop as it ran before qp.solve_min_excess
 # started from the scaled NNLS point: the same loop from the zero vertex, with
-# every bound in the working set. It pins the warm start's optimum, binding
-# rows and iteration saving.
+# every bound in the working set. It pins the least-distance start's optimum,
+# binding rows and iteration saving.
 
 def solve_min_excess_cold_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the zero vertex.
@@ -535,125 +546,18 @@ def solve_min_excess_cold_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
     )
 
 
-# Reference copy of qp.solve_min_excess as it ran before its loop factored
-# the working rows with one QR: an SVD null space per iteration, a full
-# least-squares solve for the step and an NNLS fit at every stationary point.
-# It pins the factorized loop's optimum, binding rows and iteration count.
-
-def solve_min_excess_svd_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
-    """Solve the bounded least-squares program from the scaled NNLS point.
-
-    The start is z = s y (module docstring), or z = 0 when A y has no
-    positive entry. Raises SolverStallError when the iteration cap of
-    100 (n + m + 2) is hit, a degenerate working set cannot be improved or
-    an NNLS solve hits its own cap.
-    """
-    n, mvar = a.shape
-    max_iter = 100 * (n + mvar + 2)
-    y, _ = _nnls(a, b, "warm start")
-    image = a @ y
-    positive = image > 0.0
-    if np.any(positive):
-        z, start = float(np.min(b[positive] / image[positive])) * y, "nnls"
-    else:
-        z, start = np.zeros(mvar), "zero"
-    fixed: set[int] = set(np.flatnonzero(z == 0.0).tolist())   # active bounds z_i = 0
-    rows: set[int] = set()               # active supply rows (A z)_k = b_k
-    scale = max(1.0, float(np.max(np.abs(b))))
-
-    for it in range(max_iter):
-        free = [i for i in range(mvar) if i not in fixed]
-        active_rows = sorted(rows)
-        direction = np.zeros(mvar)
-        if free:
-            a_free = a[:, free]
-            u_current = z[free]
-            row_block = a_free[active_rows, :] if active_rows else np.zeros((0, len(free)))
-            null_basis = _nullspace(row_block)
-            if null_basis.shape[1] > 0:
-                v, *_ = np.linalg.lstsq(a_free @ null_basis, b - a_free @ u_current, rcond=None)
-                direction[free] = null_basis @ v
-
-        if np.max(np.abs(direction)) <= STEP_TOL * scale:
-            gradient = 2.0 * a.T @ (a @ z - b)
-            normals = []
-            for i in sorted(fixed):
-                e = np.zeros(mvar)
-                e[i] = 1.0
-                normals.append(e)
-            for k in active_rows:
-                normals.append(-a[k, :])
-            if not normals:
-                kkt_residual = float(np.linalg.norm(gradient))
-                if kkt_residual <= KKT_TOL * scale:
-                    break
-                raise SolverStallError("zero gradient expected with empty working set")
-            normal_matrix = np.array(normals).T
-            _, kkt_residual = _nnls(normal_matrix, gradient, "stationary-point certificate")
-            if kkt_residual <= KKT_TOL * max(1.0, float(np.linalg.norm(gradient))):
-                break
-            multipliers, *_ = np.linalg.lstsq(normal_matrix, gradient, rcond=None)
-            worst = int(np.argmin(multipliers))
-            if multipliers[worst] >= -1e-12:
-                raise SolverStallError("degenerate working set: no droppable constraint")
-            n_fixed = len(fixed)
-            if worst < n_fixed:
-                fixed.remove(sorted(fixed)[worst])
-            else:
-                rows.remove(active_rows[worst - n_fixed])
-            continue
-
-        # ratio test to the nearest blocking constraint
-        alpha = 1.0
-        block: tuple[str, int] | None = None
-        for i in free:
-            if direction[i] < -1e-15:
-                limit = z[i] / -direction[i]
-                if limit < alpha - 1e-15:
-                    alpha, block = limit, ("bound", i)
-        image_step = a @ direction
-        image = a @ z
-        for k in range(n):
-            if k in rows:
-                continue
-            if image_step[k] > 1e-15:
-                limit = (b[k] - image[k]) / image_step[k]
-                if limit < alpha - 1e-15:
-                    alpha, block = limit, ("row", k)
-        z = z + max(alpha, 0.0) * direction
-        z[z < 0.0] = 0.0
-        if block is not None:
-            kind, idx = block
-            if kind == "bound":
-                fixed.add(idx)
-                z[idx] = 0.0
-            else:
-                rows.add(idx)
-    else:
-        raise SolverStallError(f"active-set iteration cap {max_iter} reached")
-
-    objective = float(np.sum((b - a @ z) ** 2))
-    return QPResult(
-        z=z,
-        objective=objective,
-        kkt_residual=float(kkt_residual),
-        iterations=it + 1,
-        binding_rows=tuple(sorted(rows)),
-        start=start,
-    )
-
-
 # Reference copy of qp.solve_min_excess as it ran before it started from the
 # least-distance working set: the scaled NNLS start for every A, one QR of the
 # working rows per iteration and an NNLS certificate at the exit. It pins the
-# least-distance start's optimum and binding rows, and the factorized loop's
-# path against the SVD reference.
+# least-distance start's objective, A z and binding rows, on singular A too.
 
 def solve_min_excess_qr_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the scaled NNLS point.
 
-    The start is z = s y (module docstring), or z = 0 when A y has no
-    positive entry. Each iteration factors the working supply rows on the
+    The start is the NNLS point y of min ||A y - b|| over y >= 0, scaled
+    back into the feasible set: z = s y with s = min_k b_k / (A y)_k over the
+    rows where A y is positive, or z = 0 when A y has no positive entry;
+    only the zero bounds of z start in the working set. Each iteration factors the working supply rows on the
     free variables once, A[rows, F]^T = Q R: the trailing columns of Q span
     the null space the step lives in, and at a stationary point the row
     multipliers come from R. The NNLS certificate runs once, where no

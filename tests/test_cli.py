@@ -43,7 +43,7 @@ GOLDEN_JSON = [
     (('sustainable', 'toy3.csv'), 1, '1f87d4d2b98aa53e28f82e084d1004b7bca1872e8fae6c519f140c34af40ddea'),
     (('sustainable', 'toy3.csv', '--tax-bounds'), 1, '2d74961d3fa27e5b6cab41868b9ad9c8392f062af2dab997d9c36c8f267d80a2'),
     # these two carry the exact prices and best_pi of TestToy3ExactOracles
-    (('equilibrium', 'toy3.csv'), 0, '4a42f96a3742daa6768e47044c6f83b209c2935d0b22361be8df27bdf5729a48'),
+    (('equilibrium', 'toy3.csv'), 0, '6add8d794a64019a2d1ec5215e19ee7cd25bcc31d38c620d5ccabece7cb08ab0'),
     (('tax', 'toy3.csv', 'existing'), 0, '0ff755bc4ca50b2eaea5c593cfbcd3f5d6cb1350e5e6470ff236b8b58981b95c'),
     (('tax', 'toy3.csv', 'best'), 0, '0fc851a39711bc1e1aadcfa00b75fa0d76fdb1f7c47e8354b25e7685a5a96af7'),
     (('tax', 'toy3.csv', 'bounds'), 0, '2b5a952964b0bf1e21d60e776cd63bfc3e3e4ea9d407a9a779405b2a23fe4e17'),
@@ -349,18 +349,21 @@ class TestToy3ExactOracles:
 
     def test_equilibrium_prices(self, capsys):
         # pi0 = T1 / Delta = 1/2, so the supply is b = X / 2 = (1/2, 1/2, 1/2).
-        # The program's optimum z = (0, 5/3, 5/3) clears it (A z = b), and the
-        # price map diag(z / A z) A^T has a zero first row, so p_1 = 0 and
-        # p_2 = (10/3)(p_2 / 10 + p_3 / 5), p_3 = (10/3)(p_2 / 5 + p_3 / 10):
-        # p = (0, 1/2, 1/2)
+        # Sectors 1 and 2 have identical columns, so the optimal face is the
+        # segment z = (5/6 + t, 5/6 - t, 5/3) with A z = b. The program lands
+        # on its midpoint t = 0, which is positive on every row, so
+        # prices live on the support: y = z / b = (5/3, 5/3, 10/3) and
+        # p = diag(y) A^T p reads p_1 = p_2 = (5/3)(p_1 / 10 + p_2 / 10 + p_3 / 5),
+        # so p_3 = 2 p_1, and p_3 = (10/3)(p_1 / 5 + p_2 / 5 + p_3 / 10) holds:
+        # p = (1/4, 1/4, 1/2), equal prices for the identical sectors
         state = analyze(load_table(data_path("toy3.csv"))).equilibrium
-        assert state.mode == "generalized"
-        assert np.max(np.abs(state.z - [0.0, 5 / 3, 5 / 3])) < 1e-13
-        assert np.max(np.abs(state.p - [0.0, 0.5, 0.5])) < 1e-13
-        assert state.p[0] == 0.0
+        assert state.mode == "support"
+        assert np.max(np.abs(state.z - [5 / 6, 5 / 6, 5 / 3])) < 1e-13
+        assert np.max(np.abs(state.p - [0.25, 0.25, 0.5])) < 1e-13
         code, doc = run_json(capsys, ["equilibrium", str(data_path("toy3.csv")), "--format", "json"])
         assert code == 0
-        assert doc["results"]["prices"] == [0.0, 0.5, 0.5]
+        assert doc["results"]["prices"] == [0.25, 0.25, 0.5]
+        assert doc["results"]["mode"] == "support"
         # A z = b on every row, so every market clears and nothing is unsold
         assert doc["results"]["binding"] == [1, 2, 3]
         assert doc["results"]["real_consumption"] == doc["results"]["supply"]
@@ -463,8 +466,9 @@ class TestExitCodes:
         assert cli.main(["equilibrium", str(toy2)]) == 1
 
     def test_nnls_cap_in_the_program_exits_three(self, capsys, monkeypatch):
-        # toy3 runs the minimum-excess program; scipy's NNLS cap is an
-        # untyped RuntimeError that must leave as a typed stage failure
+        # toy3 runs the minimum-excess program from the shifted least-distance
+        # start; scipy's NNLS cap is an untyped RuntimeError that must leave
+        # as a typed stage failure
         from ioequil import qp
 
         def capped(*args, **kwargs):
@@ -474,7 +478,7 @@ class TestExitCodes:
         assert main(["equilibrium", str(data_path("toy3.csv")), "--format", "json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: stage 'min-excess-qp': NNLS for the warm start failed")
+        assert captured.err.startswith("error: stage 'min-excess-qp': NNLS for the least-distance start failed")
         assert "Traceback" not in captured.err
 
     def test_balance_residual_failure_exits_three(self, capsys, toy2, monkeypatch):
@@ -507,6 +511,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["check", str(toy2), "--seed", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("check", "toy2.csv"), ("sustainable", "toy2.csv"),
+                                      ("equilibrium", "toy2.csv"), ("tax", "toy2.csv", "existing"),
+                                      ("aggregate", "toy3.csv", "toy3to2.map")],
+                             ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_two_without_a_report(self, capsys, tmp_path, argv):
+        paths = [str(data_path(a)) if a.endswith((".csv", ".map")) else a for a in argv]
+        assert main(paths + ["--out", str(tmp_path / "missing" / "report.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "tight"])
+    @pytest.mark.parametrize("command", ["check", "equilibrium"])
+    def test_tolerance_must_be_a_number_at_least_zero(self, capsys, tmp_path, command, tol):
+        # toy2 with C scaled by 1.5: every row is off by 0.25, which a NaN
+        # tolerance would wave through and a negative one would flag on the
+        # balanced columns too
+        path = tmp_path / "unbalanced.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace("0.5,0,0,1", "0.75,0,0,1"))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path), "--tol", tol])
+        assert excinfo.value.code == 2
+        assert "argument --tol: invalid tolerance value" in capsys.readouterr().err
+        assert main([command, str(path)]) == (1 if command == "check" else 2)
+        assert main([command, str(path), "--tol", "inf"]) == 0
 
 
 class TestDeterminism:

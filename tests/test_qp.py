@@ -8,11 +8,11 @@ from ioequil.qp import solve_min_excess
 from conftest import (
     column_sums_in_value_units,
     data_path,
+    dependent_columns,
     qp_enumeration_oracle,
     random_indecomposable,
     solve_min_excess_cold_reference,
     solve_min_excess_qr_reference,
-    solve_min_excess_svd_reference,
     two_block,
     value_table_supply,
 )
@@ -103,7 +103,6 @@ def test_kkt_certificate_on_larger_instances(rng):
 
 NNLS_CALLS = {
     "least-distance start": np.array([[0.1, 0.2], [0.2, 0.1]]),
-    "warm start": np.array([[0.1, 0.1], [0.2, 0.2]]),   # singular: the scaled NNLS start
 }
 
 
@@ -120,8 +119,8 @@ def test_nnls_cap_is_a_typed_stall(monkeypatch, what):
 
 
 def test_zero_image_starts_at_the_zero_vertex():
-    # A y = 0 for every y: the scaled NNLS point does not exist, the loop
-    # starts at z = 0 and certifies it there
+    # A = 0 and its shift are both rejected by the LU test: the loop starts
+    # at z = 0 and certifies it there
     a = np.zeros((2, 2))
     b = np.array([1.0, 2.0])
     result = solve_min_excess(a, b)
@@ -131,20 +130,21 @@ def test_zero_image_starts_at_the_zero_vertex():
     assert result.start == "zero"
 
 
-def test_singular_technology_starts_from_the_scaled_nnls_point():
+def test_singular_technology_starts_from_the_shifted_matrix():
     # toy3's sectors s1 and s2 have equal input rows, so A fails the LU rank
-    # test; its optimum is not unique, and the scaled NNLS start reaches the
-    # z = (0, 5/3, 5/3) that TestToy3ExactOracles pins (supply b = X / 2)
+    # test and A + SHIFT max|A| E passes it; its optimum is not unique, and
+    # the rebuild on A reaches the z = (5/6, 5/6, 5/3) that
+    # TestToy3ExactOracles pins (supply b = X / 2), certified on the first pass
     table = load_table(data_path("toy3.csv"))
     result = solve_min_excess(table.technology.a, table.big_x / 2.0)
-    assert result.start == "nnls"
-    assert np.max(np.abs(result.z - [0.0, 5.0 / 3.0, 5.0 / 3.0])) < 1e-13
+    assert result.start == "shifted" and result.iterations == 1
+    assert np.max(np.abs(result.z - [5.0 / 6.0, 5.0 / 6.0, 5.0 / 3.0])) < 1e-13
 
 
-def test_infeasible_least_distance_point_falls_back_to_the_scaled_start(monkeypatch):
+def test_infeasible_least_distance_point_falls_back_to_the_zero_start(monkeypatch):
     # an empty least-distance working set rebuilds z = A^-1 b = (50/3, -10/3),
-    # which breaks z >= 0: a second NNLS gives the scaled start, and the loop
-    # reaches the optimum z = (10, 0) from there
+    # which breaks z >= 0: the loop starts at z = 0 with every bound in the
+    # working set, without a second NNLS, and reaches the optimum z = (10, 0)
     from ioequil import qp
 
     calls = []
@@ -156,7 +156,7 @@ def test_infeasible_least_distance_point_falls_back_to_the_scaled_start(monkeypa
 
     monkeypatch.setattr(qp, "nnls", empty_first)
     result = solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
-    assert len(calls) == 2 and result.start == "nnls"
+    assert len(calls) == 1 and result.start == "zero"
     assert np.allclose(result.z, [10.0, 0.0], atol=1e-8) and result.binding_rows == (0,)
 
 
@@ -192,68 +192,54 @@ def test_warm_start_saves_three_quarters_of_the_iterations():
     assert 4 * warm.iterations < cold.iterations
 
 
-def assert_matches_qr_reference(a, b, reference=None):
-    """The least-distance start reaches the reference loop's optimum and binding rows."""
+def assert_matches_qr_reference(a, b, same_rows=True):
+    """The least-distance start reaches the reference loop's objective and its
+    A z, which is unique on the optimal face; with ``same_rows`` also its
+    binding rows. Returns the least-distance result."""
     result = solve_min_excess(a, b)
-    if reference is None:
-        reference = solve_min_excess_qr_reference(a, b)
+    reference = solve_min_excess_qr_reference(a, b)
     assert abs(result.objective - reference.objective) <= 1e-12 * max(1.0, reference.objective)
-    assert result.binding_rows == reference.binding_rows
+    scale = max(1.0, float(np.max(np.abs(b))))
+    assert np.max(np.abs(a @ result.z - a @ reference.z)) <= 1e-10 * scale
+    if same_rows:
+        assert result.binding_rows == reference.binding_rows
     assert result.kkt_residual < 1e-10
     return result
 
 
-def assert_matches_svd_reference(a, b, coordinates=lambda z: z):
-    """The factorized loop takes the SVD reference's path to its optimum (z
-    compared in ``coordinates``), and the least-distance start reaches that
-    optimum and its binding rows; returns the least-distance result."""
-    loop = solve_min_excess_qr_reference(a, b)
-    reference = solve_min_excess_svd_reference(a, b)
-    assert loop.iterations == reference.iterations
-    assert loop.binding_rows == reference.binding_rows
-    assert abs(loop.objective - reference.objective) <= 1e-12 * reference.objective
-    scale = max(1.0, float(np.max(reference.z)))
-    assert np.max(np.abs(coordinates(loop.z) - coordinates(reference.z))) <= 1e-10 * scale
-    return assert_matches_qr_reference(a, b, loop)
-
-
 @pytest.mark.parametrize("kind", REFERENCE_INSTANCES)
-def test_factorized_loop_matches_svd_reference(kind):
+def test_least_distance_start_matches_qr_reference(kind):
     # A is nonsingular on value tables: one pass of the loop certifies the
     # rebuilt least-distance optimum
     rng = np.random.default_rng(list(REFERENCE_INSTANCES).index(kind))
     for _ in range(2):
         a = REFERENCE_INSTANCES[kind](rng)
-        result = assert_matches_svd_reference(a, value_table_supply(rng, a))
+        result = assert_matches_qr_reference(a, value_table_supply(rng, a))
         assert result.start == "ldp" and result.iterations == 1
 
 
-def test_factorized_loop_matches_svd_reference_on_singular_instances(rng):
+def test_matches_qr_reference_on_singular_instances(rng):
     # the duplicated-column and dependent-row instances of the enumeration
-    # test; two equal columns share their optimal mass in any split, and at a
-    # tie between their bounds' multipliers the SVD reference drops whichever
-    # rounding makes smaller, so only the pair's sum is compared. Most fail
-    # the LU rank test and take the scaled NNLS start; the raised diagonal
-    # makes a few nonsingular
+    # test. At an optimal face the working set is not unique, so only the
+    # objective and A z are compared. Most fail the LU rank test and take the
+    # shifted start; the raised diagonal makes a few nonsingular
     starts = []
     for trial in range(100):
         n = int(rng.integers(2, 5))
         a = rng.uniform(0.0, 1.0, (n, n))
         if trial % 2 == 0:
             a[:, -1] = a[:, 0]
-            coordinates = lambda z: np.r_[z[0] + z[-1], z[1:-1]]
         else:
             a[-1, :] = 0.5 * a[0, :]
-            coordinates = lambda z: z
         np.fill_diagonal(a, np.maximum(a.diagonal(), 0.05))
-        starts.append(assert_matches_svd_reference(a, rng.uniform(0.3, 3.0, n), coordinates).start)
-    assert starts.count("nnls") > 80 and "ldp" in starts
+        starts.append(assert_matches_qr_reference(a, rng.uniform(0.3, 3.0, n), same_rows=False).start)
+    assert starts.count("shifted") > 80 and set(starts) == {"shifted", "ldp"}
 
 
-def test_factorized_loop_matches_svd_reference_at_200_sectors():
+def test_least_distance_start_matches_qr_reference_at_200_sectors():
     rng = np.random.default_rng(200)
     a = column_sums_in_value_units(rng, random_indecomposable(rng, 200, density=0.3))
-    assert_matches_svd_reference(a, value_table_supply(rng, a))
+    assert assert_matches_qr_reference(a, value_table_supply(rng, a)).start == "ldp"
 
 
 def count_nnls_calls(monkeypatch, solve, a, b) -> int:
@@ -272,14 +258,13 @@ def count_nnls_calls(monkeypatch, solve, a, b) -> int:
 
 
 def test_one_certificate_per_solve(monkeypatch):
-    # the SVD reference fits an NNLS certificate at every stationary point;
-    # the factorized loop reads the multipliers from R and fits one NNLS
-    # certificate at the exit; the least-distance start certifies from R's
-    # multipliers, so its start is the only NNLS of the solve
+    # the reference loop reads the multipliers from R and fits one NNLS
+    # certificate at the exit, after its scaled start's NNLS; the
+    # least-distance start certifies from R's multipliers, so its start is
+    # the only NNLS of the solve
     rng = np.random.default_rng(60)
     a = REFERENCE_INSTANCES["dense n=60"](rng)
     b = value_table_supply(rng, a)
-    assert count_nnls_calls(monkeypatch, solve_min_excess_svd_reference, a, b) > 2
     assert count_nnls_calls(monkeypatch, solve_min_excess_qr_reference, a, b) == 2
     assert count_nnls_calls(monkeypatch, solve_min_excess, a, b) == 1
 
@@ -326,3 +311,22 @@ def test_dense_table_past_the_default_nnls_cap_certifies():
     normals = np.hstack([np.eye(310)[:, result.z == 0.0], -a[list(result.binding_rows)].T])
     with pytest.raises(RuntimeError, match="Maximum number of iterations"):
         nnls(normals, 2.0 * a.T @ (a @ result.z - b))
+
+
+@pytest.mark.parametrize("n, deficiency, density", [
+    (n, deficiency, density) for n in (60, 200) for deficiency in (1, 5) for density in (1.0, 0.3)])
+def test_rank_deficient_table_certifies_from_the_shifted_start(monkeypatch, n, deficiency, density):
+    # A of rank n - 1 or n - 5 fails the LU test; its shift passes it, and the
+    # working set of the shifted least-distance program is optimal for A
+    # itself. Without any start the loop from zero reaches the same optimum
+    from ioequil import qp
+
+    rng = np.random.default_rng([n, deficiency, int(10 * density)])
+    a = column_sums_in_value_units(rng, dependent_columns(rng, n, deficiency, density))
+    b = value_table_supply(rng, a)
+    assert np.linalg.matrix_rank(a) == n - deficiency
+    assert count_nnls_calls(monkeypatch, solve_min_excess, a, b) == 1
+    result = assert_matches_qr_reference(a, b, same_rows=False)
+    assert result.start == "shifted" and result.iterations == 1
+    monkeypatch.setattr(qp, "nonsingular_lu", lambda m: None)
+    assert assert_matches_qr_reference(a, b, same_rows=False).start == "zero"

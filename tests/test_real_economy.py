@@ -325,10 +325,3 @@ class TestAnalyze:
         fractions = np.linspace(0.1, 1.0, 8)
         levels = [excess_supply(psi, f * psi, prices) for f in fractions]
         assert all(a >= b - 1e-15 for a, b in zip(levels, levels[1:]))
-
-    def test_non_unit_relative_prices_accepted(self):
-        table = load_table(data_path("toy2.csv"))
-        report = analyze(table, p_hat=[1.0, 1.0])
-        assert report.sustainable_at_unit_prices
-        scaled = analyze(table, p_hat=[1.3, 0.7])
-        assert 0.0 <= scaled.excess_level < 1.0

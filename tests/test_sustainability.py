@@ -6,7 +6,12 @@ from ioequil.core import matrix_rank, nonsingular_lu, perron_vector
 from ioequil.errors import HypothesisViolatedError, NotProductiveError, ZeroDenominatorError
 from ioequil.qp import solve_min_excess
 
-from conftest import data_path, random_indecomposable, random_productive, spectral_radius_oracle
+from conftest import (
+    data_path,
+    dependent_columns,
+    random_productive,
+    spectral_radius_oracle,
+)
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -179,17 +184,6 @@ class TestRankCalls:
         assert len(calls) == (1 if singular else 0)
 
 
-def dependent_columns(rng, n: int, k: int, density: float) -> np.ndarray:
-    """Non-negative n x n matrix of rank n - k: each of its last k columns is a
-    convex combination of two of the first n - k."""
-    a = random_indecomposable(rng, n, density=density)
-    for j in range(n - k, n):
-        first, second = rng.choice(n - k, 2, replace=False)
-        weight = rng.uniform(0.2, 0.8)
-        a[:, j] = weight * a[:, first] + (1.0 - weight) * a[:, second]
-    return a
-
-
 class TestOneSingularityTest:
     """core.nonsingular_lu decides singularity for the Perron solve, the QP
     start and the sustainability solve."""
@@ -251,7 +245,7 @@ class TestOneSingularityTest:
         monkeypatch.setattr(qp, "nonsingular_lu", lambda m: None)
         with pytest.raises(HypothesisViolatedError, match="the eigenvalue one is not simple"):
             perron_vector(row_stochastic, "test")
-        assert solve_min_excess(t.a, supply).start == "nnls"
+        assert solve_min_excess(t.a, supply).start == "zero"
 
 
 class TestClearingResidual:
