@@ -42,9 +42,12 @@ class AggregationMap:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AggregationMap":
-        """Parse 'fine coarse' pairs, one per line, 1-based, '#' comments."""
+        """Parse 'fine coarse' pairs, one per line, 1-based, '#' comments.
+
+        A leading byte-order mark is dropped, as for table files.
+        """
         pairs: dict[int, int] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

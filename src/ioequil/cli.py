@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 3
 
 
 def _vector_list(v) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float)]
+    return np.asarray(v, dtype=float).tolist()
 
 
 def _parse_comma_list(text: str, flag: str) -> np.ndarray:
@@ -254,7 +254,7 @@ def cmd_aggregate(args) -> tuple[Report, int]:
 
     results = {
         "coarse_sectors": coarse.n,
-        "a_bar": [list(map(float, row)) for row in coarse.a_bar],
+        "a_bar": coarse.a_bar.tolist(),
         "X": _vector_list(coarse.big_x),
         "C": _vector_list(coarse.consumption),
         "Delta": _vector_list(coarse.delta),

@@ -226,9 +226,13 @@ def decode_table(data: bytes) -> str:
     """UTF-8 text of a table file with universal newlines, as ``read_text`` gives.
 
     A leading byte-order mark, which spreadsheet "CSV UTF-8" exports write,
-    is dropped.
+    is dropped. Text with no carriage return (LF-only files) is returned as
+    decoded; CRLF and lone CR line ends become LF.
     """
-    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    text = data.decode("utf-8-sig")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_table(path: str | Path, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:

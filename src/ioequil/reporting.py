@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -23,24 +24,27 @@ def digest_bytes(data: bytes) -> str:
 
 
 def _canonical(value) -> str:
+    # floats first: they are most of every report, and np.float64 is a float
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float in report: {value}")
+        text = format(value, FLOAT_FORMAT)
+        # '.12g' writes a lower-case exponent and no 'E'
+        return text if "." in text or "e" in text else text + ".0"
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite float in report: {value}")
-        text = format(value, FLOAT_FORMAT)
-        return text if any(c in text for c in ".eE") else text + ".0"
+    if isinstance(value, np.floating):
+        return _canonical(float(value))
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):
         return _canonical(value.tolist())
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
+        return "[" + ",".join(map(_canonical, value)) + "]"
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: kv[0])
         if any(not isinstance(k, str) for k, _ in items):

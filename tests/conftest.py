@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import os
 from importlib import resources
 
@@ -345,6 +346,21 @@ def leontief_value_table(rng: np.random.Generator, a: np.ndarray) -> IOTable:
     delta = x - z.sum(axis=0)
     return IOTable(tuple(f"s{k + 1}" for k in range(n)), z, x, 0.3 * delta, 0.7 * delta,
                    x - z.sum(axis=1), np.zeros(n), np.zeros(n))
+
+
+def seeded_table(rng: np.random.Generator, n: int, density: float) -> IOTable:
+    """Balanced value table on a random indecomposable A with column sums in
+    [0.35, 0.75]: X uniform in [0.5, 20], T1 = 0.3 Delta and Z1 = 0.7 Delta."""
+    a = random_indecomposable(rng, n, density=density)
+    a *= rng.uniform(0.35, 0.75, n) / a.sum(axis=0)
+    big_x = rng.uniform(0.5, 20.0, n)
+    z = a * big_x[None, :]
+    delta = big_x - z.sum(axis=0)
+    return IOTable(
+        names=tuple(f"s{k + 1}" for k in range(n)), z=z, big_x=big_x,
+        t1=0.3 * delta, z1=0.7 * delta, consumption=big_x - z.sum(axis=1),
+        exports=np.zeros(n), imports=np.zeros(n),
+    )
 
 
 def price_map(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -721,3 +737,32 @@ def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -
     )
     validate_table(table, balance_tol)
     return table
+
+
+def canonical_json_reference(value) -> str:
+    """The canonical encoder as first written: sorted keys, '.12g' floats with
+    '.0' added to integral ones, and numpy scalars converted one at a time."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite float in report: {value}")
+        text = format(value, ".12g")
+        return text if any(c in text for c in ".eE") else text + ".0"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, np.ndarray):
+        return canonical_json_reference(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canonical_json_reference(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: kv[0])
+        if any(not isinstance(k, str) for k, _ in items):
+            raise TypeError("report keys must be strings")
+        return "{" + ",".join(f"{json.dumps(k)}:{canonical_json_reference(v)}" for k, v in items) + "}"
+    raise TypeError(f"unsupported report value of type {type(value).__name__}")

@@ -588,6 +588,15 @@ class TestOneReadOneParser:
         assert report["results"] == reference["results"]
         assert load_table(path).z.tobytes() == load_table(data_path("toy3.csv")).z.tobytes()
 
+    def test_byte_order_mark_map(self, capsys, tmp_path):
+        path = tmp_path / "toy3to2.map"
+        path.write_bytes(b"\xef\xbb\xbf" + data_path("toy3to2.map").read_bytes())
+        argv, code, sha256 = GOLDEN_JSON[-1]
+        assert argv == ("aggregate", "toy3.csv", "toy3to2.map")
+        assert main(["aggregate", str(data_path("toy3.csv")), str(path), "--format", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
     def test_invalid_utf8_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         # the position counts bytes of the whole file, carriage returns included

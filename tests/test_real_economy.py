@@ -15,7 +15,7 @@ from ioequil import real_economy
 from ioequil.errors import BalanceError, ParseError
 from ioequil.real_economy import IOTable, balance_gaps
 
-from conftest import data_path, loads_table_reference, random_indecomposable
+from conftest import data_path, loads_table_reference, seeded_table
 
 
 def table_from_value_added_system(rng, n):
@@ -185,19 +185,6 @@ PARSE_ERRORS = [
 ]
 
 
-def seeded_table(rng, n: int, density: float) -> IOTable:
-    a = random_indecomposable(rng, n, density=density)
-    a *= rng.uniform(0.35, 0.75, n) / a.sum(axis=0)
-    big_x = rng.uniform(0.5, 20.0, n)
-    z = a * big_x[None, :]
-    delta = big_x - z.sum(axis=0)
-    return IOTable(
-        names=tuple(f"s{k + 1}" for k in range(n)), z=z, big_x=big_x,
-        t1=0.3 * delta, z1=0.7 * delta, consumption=big_x - z.sum(axis=1),
-        exports=np.zeros(n), imports=np.zeros(n),
-    )
-
-
 def assert_same_table(table: IOTable, reference: IOTable) -> None:
     """Names equal and every array bit-identical (nan payloads and -0 included)."""
     assert table.names == reference.names
@@ -285,6 +272,19 @@ class TestParseErrors:
             loads_table(TOY.replace("\n", "\r"))
         assert str(err.value) == ("CSV line 1: new-line character seen in unquoted field"
                                   " - do you need to open the file in universal-newline mode?")
+
+
+class TestDecodeTable:
+    """decode_table gives universal newlines: the same text as rewriting every
+    CRLF and then every lone CR to LF, after the byte-order mark is dropped."""
+
+    @pytest.mark.parametrize("data", [
+        b"sector,a\na,1\n", b"sector,a\r\na,1\r\n", b"sector,a\ra,1\r",
+        b"sector,a\r\na,1\rT1,2\nZ1,3\r\r\n", b"\xef\xbb\xbfsector,a\r\na,1\r\n", b"",
+    ], ids=["LF", "CRLF", "CR", "mixed", "BOM+CRLF", "empty"])
+    def test_matches_two_replace_rewrite(self, data):
+        expected = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+        assert real_economy.decode_table(data) == expected
 
 
 class TestAnalyze:
