@@ -22,10 +22,13 @@ Fixed-point policy: a Perron vector whose multiplier is known to be one
 ``perron_vector``, with exact zeros on zero rows and no iteration cap.
 Productivity needs no eigenvalue: ``is_productive`` decides from one solve
 of ``(E - A) x = 1``. Only the spectral radius that ``check`` reports,
-whose root is unknown, iterates ``p <- (p + M p) / sum(p + M p)`` until the
-total and every entry settle to ``FIXED_POINT_TOL``; at
-``FIXED_POINT_MAXITER`` steps it raises ``NoConvergenceError`` (CLI exit 3)
-instead of returning the last iterate.
+whose root is unknown, iterates, and it certifies its answer: for p > 0
+the Collatz-Wielandt bracket ``min(Ap/p) <= rho <= max(Ap/p)`` must close
+to ``8 n eps`` relative. ``spectral_radius`` takes ``ceil(n / 3)`` shifted
+power steps, about the flops of one LU, then at most ``NODA_STEPS`` Noda
+steps (one LU solve each), and raises ``NoConvergenceError`` (CLI exit 3)
+naming the bracket if it is still open. A decomposable A, where no
+positive p need exist, gets ``max |eigvals(A)|`` instead.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from .errors import (
 PIVOT_RTOL = 1e-12        # rank decisions: relative QR pivot, LU reciprocal condition
 POSITIVE_TOL = 1e-10      # strict positivity after max-norm normalization
 SPAN_TOL = 1e-9           # max-norm residual for span membership
-FIXED_POINT_TOL = 1e-12   # settled total (relative) and step (max-norm) of a fixed point
-FIXED_POINT_MAXITER = 10 ** 6
+NODA_STEPS = 16           # Noda solves after the power steps before the radius bracket fails
 MULTIPLIER_TOL = 1e-10    # max-norm residual |M p - p| of a Perron vector, relative to max p
 
 
@@ -204,29 +206,69 @@ def perron_vector(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus of a non-negative matrix by power iteration.
+    """Largest eigenvalue modulus of a non-negative matrix.
 
-    The shift by the identity in ``p + A p`` breaks the cycling of periodic
-    support patterns and moves the multiplier by exactly one.
+    For an indecomposable A the answer is certified: every p > 0 gives the
+    Collatz-Wielandt bracket ``min(Ap/p) <= rho <= max(Ap/p)``, and the
+    midpoint is returned once the width is at most ``8 n eps`` times the
+    upper end. Shifted power steps ``p <- (p + Ap) / sum(p + Ap)`` run from
+    the barycentre (the shift breaks the cycling of periodic support
+    patterns). The bracket is tested only once the total has settled to
+    that width: the total minus one lies in the bracket, and successive
+    power brackets are nested, so a closed bracket settles the total. After
+    ``ceil(n / 3)`` steps, about the flops of one LU, Noda steps take over:
+    ``(hi E - A) y = p``, ``p <- y / max y``, with hi the upper end,
+    converging quadratically (Noda 1971; Elsner 1976). A bracket still open
+    after ``NODA_STEPS`` of them, or a solve that fails or loses positivity,
+    raises NoConvergenceError naming the bracket.
+
+    A decomposable A may have no positive Perron vector, so its bracket need
+    not close; its radius is ``max |np.linalg.eigvals(A)|``.
     """
     a = _matrix(a)
     if np.any(a < 0):
         raise ValueError("spectral_radius expects a non-negative matrix")
     if not np.any(a):
         return 0.0
-    k = a.shape[0]
-    p = np.full(k, 1.0 / k)
-    previous = 1.0
-    for _ in range(FIXED_POINT_MAXITER):
-        q = p + a @ p
-        total = float(q.sum())
-        q /= total
+    if not is_indecomposable(a):
+        return float(np.max(np.abs(np.linalg.eigvals(a))))
+    n = a.shape[0]
+    width = 8.0 * n * np.finfo(float).eps
+    p = np.full(n, 1.0 / n)
+    total = 1.0
+    for _ in range(-(-n // 3)):
+        ap = a @ p
+        q = p + ap
+        previous, total = total, float(q.sum())
         # the scalar test runs first: it is cheaper and usually fails
-        settled = abs(total - previous) <= FIXED_POINT_TOL * total
-        if settled and np.max(np.abs(q - p)) < FIXED_POINT_TOL:
-            return total - 1.0
-        p, previous = q, total
-    raise NoConvergenceError("spectral radius iteration hit the cap")
+        if abs(total - previous) <= width * total:
+            lo, hi = _collatz_wielandt(ap, p)
+            if hi - lo <= width * hi:
+                return 0.5 * (lo + hi)
+        p = q / total
+    for solves in range(NODA_STEPS + 1):
+        lo, hi = _collatz_wielandt(a @ p, p)
+        if hi - lo <= width * hi:
+            return 0.5 * (lo + hi)
+        if solves == NODA_STEPS:
+            break
+        try:
+            y = np.linalg.solve(hi * np.eye(n) - a, p)
+        except np.linalg.LinAlgError:
+            break
+        top = float(y.max())
+        if not (y.min() > 0.0 and top < np.inf):    # the bracket needs p > 0
+            break
+        p = y / top
+    raise NoConvergenceError(
+        f"spectral radius bracket [{lo!r}, {hi!r}] still open after {solves} Noda "
+        f"steps: relative width {(hi - lo) / hi:.3g} above {width:.3g}")
+
+
+def _collatz_wielandt(ap: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """The bracket ``(min(Ap/p), max(Ap/p))`` around the spectral radius."""
+    ratio = ap / p
+    return float(ratio.min()), float(ratio.max())
 
 
 def is_productive(t: Technology) -> bool:

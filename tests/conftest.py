@@ -28,8 +28,6 @@ from scipy.optimize import nnls
 from ioequil import ConeStatus, Technology
 from ioequil.balance import BALANCE_RESIDUAL_TOL, balance_residual
 from ioequil.core import (
-    FIXED_POINT_MAXITER,
-    FIXED_POINT_TOL,
     POSITIVE_TOL,
     SPAN_TOL,
     _matrix,
@@ -233,24 +231,6 @@ def simplex_power_iteration_reference(m: np.ndarray) -> np.ndarray:
     raise AssertionError("price fixed-point iteration hit the cap")
 
 
-def spectral_radius_reference(a: np.ndarray, rtol: float = 1e-12,
-                              max_iter: int = 10 ** 6) -> float:
-    n = a.shape[0]
-    if not np.any(a):
-        return 0.0
-    shifted = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    lam = 1.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        lam_new = float(np.sum(y))
-        y /= lam_new
-        if abs(lam_new - lam) <= rtol * abs(lam_new) and np.max(np.abs(y - x)) <= rtol:
-            return lam_new - 1.0
-        x, lam = y, lam_new
-    return lam - 1.0
-
-
 def balanced_eigenvector_reference(b1) -> np.ndarray:
     """Strictly positive d with sum_k b1_ki d_k = (sum_s b1_is) d_i, sum d = 1.
 
@@ -259,9 +239,9 @@ def balanced_eigenvector_reference(b1) -> np.ndarray:
     average makes the map primitive, so plain iteration converges even for
     periodic support patterns). The averaged map is column-stochastic and
     keeps ``sum d = 1`` by itself, so this loop skips the per-step
-    normalization of ``core.simplex_fixed_point``, which would only slow
-    it down; it shares that loop's ``FIXED_POINT_TOL`` and
-    ``FIXED_POINT_MAXITER``.
+    normalization of a simplex power iteration, which would only slow it
+    down. It stops when no entry moves by 1e-12 and raises
+    NoConvergenceError after 10^6 steps.
 
     For a decomposable matrix the solution is not unique; the uniform vector
     is returned as the canonical representative when it solves the system,
@@ -288,9 +268,9 @@ def balanced_eigenvector_reference(b1) -> np.ndarray:
     e = b1 / row_sums[:, None]
     m = 0.5 * (np.eye(l) + e.T)
     d1 = np.full(l, 1.0 / l)
-    for _ in range(FIXED_POINT_MAXITER):
+    for _ in range(10 ** 6):
         d1_new = m @ d1
-        if np.max(np.abs(d1_new - d1)) < FIXED_POINT_TOL:
+        if np.max(np.abs(d1_new - d1)) < 1e-12:
             d1 = d1_new
             break
         d1 = d1_new

@@ -79,6 +79,16 @@ def map32(tmp_path):
     return dest
 
 
+@pytest.fixture
+def equal_radius(tmp_path):
+    # two dense blocks of radius 0.45, coupled at 1e-6: power steps alone
+    # cannot separate the two leading eigenvalues
+    a = equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)
+    dest = tmp_path / "equal-radius.csv"
+    dest.write_text(dumps_table(leontief_value_table(np.random.default_rng(0), a)))
+    return dest
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -130,16 +140,24 @@ class TestCheck:
         assert len(calls) == 1
         assert doc["results"]["spectral_radius"] == pytest.approx(0.5)
 
-    def test_spectral_radius_cap_exits_three(self, capsys, toy2, monkeypatch):
-        # toy2 settles on the second step (its Perron vector is the starting
-        # barycentre), so a cap of one step is the one that bites here
+    def test_spectral_radius_cap_exits_three(self, capsys, equal_radius, monkeypatch):
+        # toy2's barycentre is its Perron vector, so its bracket closes before
+        # any step; here the bracket is still open after the power steps
         from ioequil import core
 
-        monkeypatch.setattr(core, "FIXED_POINT_MAXITER", 1)
-        assert main(["check", str(toy2), "--format", "json"]) == 3
+        monkeypatch.setattr(core, "NODA_STEPS", 0)
+        assert main(["check", str(equal_radius), "--format", "json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "spectral radius iteration hit the cap" in captured.err
+        assert "spectral radius bracket [" in captured.err
+        assert "still open after 0 Noda steps" in captured.err
+
+    def test_equal_block_radii_are_certified(self, capsys, equal_radius):
+        code, doc = run_json(capsys, ["check", str(equal_radius), "--format", "json"])
+        assert code == 0
+        oracle = float(np.max(np.abs(np.linalg.eigvals(load_table(equal_radius).technology.a))))
+        # the report rounds to 12 significant digits
+        assert doc["results"]["spectral_radius"] == pytest.approx(oracle, rel=5e-12)
 
     def test_row_imbalance_reported_not_raised(self, capsys, tmp_path):
         path = tmp_path / "imbalanced.csv"
@@ -324,9 +342,9 @@ class TestWeakCoupling:
 class TestEqualRadiusBlocks:
     @pytest.mark.parametrize("argv", [["sustainable"], ["equilibrium"], ["tax", "best"]],
                              ids=["sustainable", "equilibrium", "tax best"])
-    def test_answers_without_the_spectral_radius(self, capsys, tmp_path, monkeypatch, argv):
-        # both blocks have radius 0.45: the power iteration hits its cap
-        # here, and only check's reported radius may run it
+    def test_answers_without_the_spectral_radius(self, capsys, equal_radius, monkeypatch, argv):
+        # both blocks have radius 0.45, so check's radius needs its Noda
+        # steps; no other command may compute the radius
         from ioequil import core
 
         def no_iteration(a):
@@ -334,10 +352,7 @@ class TestEqualRadiusBlocks:
 
         monkeypatch.setattr(core, "spectral_radius", no_iteration)
         monkeypatch.setattr(cli, "spectral_radius", no_iteration)
-        a = equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)
-        path = tmp_path / "equal-radius.csv"
-        path.write_text(dumps_table(leontief_value_table(np.random.default_rng(0), a)))
-        code = main([argv[0], str(path), *argv[1:], "--format", "json"])
+        code = main([argv[0], str(equal_radius), *argv[1:], "--format", "json"])
         captured = capsys.readouterr()
         assert code in (0, 1)
         assert "error:" not in captured.err
@@ -694,4 +709,13 @@ class TestImportCost:
             "check", str(data_path("toy2.csv")), "--format", "json")
         assert done.returncode == 0
         assert json.loads(done.stdout)["command"] == "check"
+        assert loaded == []
+
+    def test_check_reaching_noda_steps_loads_no_scipy(self, equal_radius):
+        # the Noda steps solve with numpy's LAPACK, not scipy's
+        done, loaded = _scipy_modules_after(
+            "from ioequil.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "check", str(equal_radius), "--format", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["results"]["spectral_radius"] == pytest.approx(0.45, rel=1e-11)
         assert loaded == []

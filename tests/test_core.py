@@ -32,7 +32,6 @@ from conftest import (
     simplex_power_iteration_reference,
     solution_family_reference,
     spectral_radius_oracle,
-    spectral_radius_reference,
     two_block,
 )
 
@@ -232,7 +231,7 @@ class TestProductive:
         assert is_productive(t)
 
     def test_decided_without_the_spectral_radius(self, monkeypatch):
-        # radius 0.45 in both blocks: the power iteration hits its 10^6-step cap
+        # radius 0.45 in both blocks, which power steps alone cannot separate
         a = equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)
         t = leontief_value_table(np.random.default_rng(0), a).technology
 
@@ -285,6 +284,16 @@ def _fixed_point_cases():
 
 
 FIXED_POINT_CASES = _fixed_point_cases()
+EQUAL_RADIUS = leontief_value_table(
+    np.random.default_rng(0), equal_radius_blocks(np.random.default_rng(0), 40, 16, 1e-6)).technology.a
+
+
+def assert_certified_radius(a: np.ndarray, rho: float) -> None:
+    """rho is the midpoint of a bracket of relative width at most 8 n eps
+    that holds the radius up to the rounding of A p (about n eps); the rest
+    of the allowance covers the rounding of eigvals."""
+    oracle = spectral_radius_oracle(a)
+    assert abs(rho - oracle) <= 9 * a.shape[0] * np.finfo(float).eps * oracle
 
 
 def _stochastic_block(rng, k: int) -> np.ndarray:
@@ -296,7 +305,7 @@ def _stochastic_block(rng, k: int) -> np.ndarray:
 
 class TestSimplexFixedPoint:
     """Fixed points on the simplex: the direct Perron solve for a known
-    multiplier and the power loop that remains for the spectral radius."""
+    multiplier and the certified spectral radius."""
 
     @pytest.mark.parametrize("name, a, m", FIXED_POINT_CASES,
                              ids=[case[0] for case in FIXED_POINT_CASES])
@@ -304,12 +313,7 @@ class TestSimplexFixedPoint:
         p = perron_vector(m, "test")
         assert np.max(np.abs(p - simplex_power_iteration_reference(m))) <= 1e-8
         assert abs(p.sum() - 1.0) <= 1e-12
-        # x + A x and (A + E) x round differently: ρ agrees with the loop on
-        # A + E to two units in the last place of 1 + ρ
-        rho = spectral_radius(a)
-        reference = spectral_radius_reference(a)
-        assert abs(rho - reference) <= 2.0 * np.spacing(1.0 + reference)
-        assert rho == pytest.approx(spectral_radius_oracle(a), abs=1e-9)
+        assert_certified_radius(a, spectral_radius(a))
 
     def test_zero_rows_give_exact_zeros(self):
         _, _, m = FIXED_POINT_CASES[1]
@@ -353,10 +357,76 @@ class TestSimplexFixedPoint:
             assert spectral_radius(m) == pytest.approx(spectral_radius_oracle(m), rel=1e-9)
 
     def test_cap_raises_instead_of_returning_the_last_iterate(self, monkeypatch):
-        _, a, _ = FIXED_POINT_CASES[0]
-        monkeypatch.setattr(core, "FIXED_POINT_MAXITER", 3)
-        with pytest.raises(NoConvergenceError, match="spectral radius iteration hit the cap"):
-            spectral_radius(a)
+        # ceil(40 / 3) power steps cannot separate the two equal block radii,
+        # so without Noda steps the bracket stays open
+        monkeypatch.setattr(core, "NODA_STEPS", 0)
+        with pytest.raises(NoConvergenceError,
+                           match=r"spectral radius bracket \[.*\] still open after 0 Noda steps"):
+            spectral_radius(EQUAL_RADIUS)
+
+
+class TestSpectralRadius:
+    def test_equal_block_radii_are_certified(self):
+        assert_certified_radius(EQUAL_RADIUS, spectral_radius(EQUAL_RADIUS))
+
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.1])
+    def test_random_indecomposable_matrices(self, density):
+        rng = np.random.default_rng(17)
+        for n in range(1, 61):
+            a = random_indecomposable(rng, n, density=density)
+            a *= rng.choice([1e-8, 0.6, 3e3]) / a.sum(axis=0).max()
+            assert_certified_radius(a, spectral_radius(a))
+
+    def test_weighted_cycle(self):
+        # irreducible with period 5: the radius is the geometric mean of the weights
+        weights = np.array([0.2, 0.9, 0.5, 0.7, 0.3])
+        a = np.zeros((5, 5))
+        a[(np.arange(5) + 1) % 5, np.arange(5)] = weights
+        rho = spectral_radius(a)
+        assert rho == pytest.approx(np.prod(weights) ** 0.2, rel=40 * np.finfo(float).eps)
+
+    def test_block_diagonal_with_zero_rows(self):
+        # every non-zero column of a block sums to its radius
+        rng = np.random.default_rng(3)
+        a = np.zeros((9, 9))
+        for block, radius in ((slice(0, 4), 0.3), (slice(4, 9), 0.65)):
+            b = rng.uniform(0.05, 1.0, (block.stop - block.start,) * 2)
+            b[1] = 0.0
+            a[block, block] = b * (radius / b.sum(axis=0))
+        assert not is_indecomposable(a)
+        assert spectral_radius(a) == pytest.approx(0.65, rel=1e-14)
+
+    def test_strictly_triangular_is_zero(self):
+        a = np.triu(np.random.default_rng(4).uniform(0.1, 1.0, (6, 6)), 1)
+        assert spectral_radius(a) == 0.0
+        assert spectral_radius(a.T) == 0.0
+
+    @pytest.mark.parametrize("entry", [0.0, 1e-300, 0.7, 5e3])
+    def test_one_by_one(self, entry):
+        assert spectral_radius([[entry]]) == entry
+
+    def test_power_steps_then_capped_noda_steps(self, monkeypatch):
+        # records every product A p and every solve: ceil(n / 3) power steps
+        # at most, one product for the bracket of the last iterate, then
+        # solves, each followed by the product of its bracket
+        log = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                log.append("product")
+                return np.asarray(self) @ other
+
+        matrix, solve = core._matrix, np.linalg.solve
+        monkeypatch.setattr(core, "_matrix", lambda x, name="matrix": matrix(x, name).view(Counted))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda m, b: log.append("solve") or solve(np.asarray(m), b))
+        a = two_block(np.random.default_rng(0), 40, 16, 1e-3)
+        rho = spectral_radius(a)
+        power, solves = log.index("solve") - 1, log.count("solve")
+        assert power <= -(-40 // 3)
+        assert 1 <= solves <= core.NODA_STEPS
+        assert log == ["product"] * (power + 1) + ["solve", "product"] * solves
+        assert_certified_radius(a, rho)
 
 
 class TestLeontief:
