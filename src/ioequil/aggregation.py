@@ -10,11 +10,12 @@ aggregated table by the exact scaling laws checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import Technology, _vector, is_productive
+from .core import Technology, _vector
 from .errors import BalanceViolationError, NotProductiveError, ParseError
 
 AGGREGATION_TOL = 1e-10
@@ -90,7 +91,7 @@ class AggregatedTable:
     def n(self) -> int:
         return self.big_x.shape[0]
 
-    @property
+    @cached_property
     def technology(self) -> Technology:
         return Technology(self.a_bar)
 
@@ -198,8 +199,7 @@ def relative_prices(table: AggregatedTable, delta_hat) -> np.ndarray:
         raise ValueError("delta_hat length must match the coarse sector count")
     if np.any(delta_hat <= 0.0):
         raise ValueError("delta_hat must be strictly positive")
-    tech = table.technology
-    if not is_productive(tech):
+    if not table.technology.productive:
         raise NotProductiveError("aggregated matrix is not productive")
     return np.linalg.solve(np.eye(table.n) - table.a_bar.T, delta_hat)
 

@@ -245,7 +245,7 @@ def inequality_solution(t: Technology, b) -> np.ndarray:
         raise ValueError("supply vector length does not match sector count")
     if np.any(b <= 0.0):
         raise ValueError("supply vector must be strictly positive")
-    if not is_indecomposable(t):
+    if not t.indecomposable:
         raise DecomposableError("inequality solution requires an indecomposable matrix")
 
     n = t.n

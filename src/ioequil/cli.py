@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregation, real_economy, sustainability, taxation
-from .core import is_indecomposable, is_productive, spectral_radius
+from .core import spectral_radius
 from .equilibrium import solution_from_alpha
 from .errors import (
     BalanceError,
@@ -111,10 +111,10 @@ def cmd_check(args) -> tuple[Report, int]:
     tech = table.technology
     failures: list[str] = []
 
-    productive = is_productive(tech)
+    productive = tech.productive
     if not productive:
         failures.append("technology is not productive ((E - A) x = 1 has no positive bounded solution)")
-    indecomposable = is_indecomposable(tech)
+    indecomposable = tech.indecomposable
     if not indecomposable:
         failures.append("technology is decomposable (support graph not strongly connected)")
     scale = np.maximum(1.0, np.abs(table.big_x))
@@ -128,7 +128,7 @@ def cmd_check(args) -> tuple[Report, int]:
     results = {
         "productive": productive,
         "indecomposable": indecomposable,
-        "spectral_radius": spectral_radius(tech.a),
+        "spectral_radius": spectral_radius(tech),
         "row_balance_gap": row_gap,
         "column_balance_gap": col_gap,
         "pass": not failures,

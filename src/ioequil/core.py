@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,13 @@ def _matrix(x, name: str = "matrix") -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Technology:
     """Square non-negative direct-cost matrix; column ``i`` holds the inputs
-    consumed to produce one unit of good ``i``."""
+    consumed to produce one unit of good ``i``.
+
+    ``indecomposable`` and ``productive`` are decided once, on first use,
+    and cached. The cache cannot go stale: ``__post_init__`` keeps a
+    read-only private copy of A, so no caller can change the matrix behind
+    a decided fact.
+    """
 
     a: np.ndarray
 
@@ -93,6 +100,14 @@ class Technology:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def indecomposable(self) -> bool:
+        return is_indecomposable(self.a)
+
+    @cached_property
+    def productive(self) -> bool:
+        return is_productive(self)
 
 
 class ConeStatus(Enum):
@@ -205,8 +220,8 @@ def perron_vector(m: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus of a non-negative matrix.
+def spectral_radius(t: Technology | np.ndarray) -> float:
+    """Largest eigenvalue modulus of a non-negative square matrix.
 
     For an indecomposable A the answer is certified: every p > 0 gives the
     Collatz-Wielandt bracket ``min(Ap/p) <= rho <= max(Ap/p)``, and the
@@ -223,14 +238,14 @@ def spectral_radius(a) -> float:
     raises NoConvergenceError naming the bracket.
 
     A decomposable A may have no positive Perron vector, so its bracket need
-    not close; its radius is ``max |np.linalg.eigvals(A)|``.
+    not close; its radius is ``max |np.linalg.eigvals(A)|``. An array is
+    wrapped in a ``Technology``, which validates it.
     """
-    a = _matrix(a)
-    if np.any(a < 0):
-        raise ValueError("spectral_radius expects a non-negative matrix")
+    t = t if isinstance(t, Technology) else Technology(t)
+    a = t.a
     if not np.any(a):
         return 0.0
-    if not is_indecomposable(a):
+    if not t.indecomposable:
         return float(np.max(np.abs(np.linalg.eigvals(a))))
     n = a.shape[0]
     width = 8.0 * n * np.finfo(float).eps
@@ -296,7 +311,7 @@ def leontief_solve(t: Technology, c) -> np.ndarray:
         raise ValueError("final consumption length does not match sector count")
     if np.any(c < 0):
         raise ValueError("final consumption must be non-negative")
-    if not is_productive(t):
+    if not t.productive:
         raise NotProductiveError("technology is not productive; Leontief solve undefined")
     return np.linalg.solve(np.eye(t.n) - t.a, c)
 

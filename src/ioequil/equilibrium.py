@@ -122,7 +122,7 @@ def min_excess_qp(t: Technology, b) -> np.ndarray:
         raise ValueError("supply vector length does not match sector count")
     if np.any(b <= 0.0):
         raise ValueError("supply vector must be strictly positive")
-    if not is_indecomposable(t):
+    if not t.indecomposable:
         raise DecomposableError("minimum-excess program requires an indecomposable matrix")
     result = qp.solve_min_excess(t.a, b)
     z = result.z

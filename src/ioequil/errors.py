@@ -78,11 +78,11 @@ class ZeroBaseError(ModelError):
 
 
 class ZeroValueAddedError(ModelError):
-    """A sector has zero gross value added."""
+    """A sector has non-positive gross value added; ``sector`` is its 0-based index."""
 
-    def __init__(self, sector: int, message: str | None = None):
+    def __init__(self, sector: int, message: str):
         self.sector = sector
-        super().__init__(message or f"sector {sector} has zero value added")
+        super().__init__(message)
 
 
 class BalanceInconsistentError(ModelError):

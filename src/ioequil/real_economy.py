@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import taxation
 from .core import Technology
 from .equilibrium import EquilibriumState, assemble_equilibrium
-from .errors import BalanceError, ParseError, ZeroValueAddedError
+from .errors import BalanceError, ParseError
 from .taxation import TaxBoundsReport, tax_bounds, taxed_clearing_residual
 
 DEFAULT_BALANCE_TOL = 1e-6    # relative; statistical tables carry rounding noise
@@ -58,7 +59,7 @@ class IOTable:
     def a_bar(self) -> np.ndarray:
         return self.z / self.big_x[None, :]
 
-    @property
+    @cached_property
     def technology(self) -> Technology:
         return Technology(self.a_bar)
 
@@ -280,10 +281,6 @@ def analyze(table: IOTable) -> RealEconomyReport:
     minimum-excess equilibrium over the after-tax supply psi = (1 - pi0) * X;
     the taxation bounds test runs either way.
     """
-    delta = table.delta
-    for i, value in enumerate(delta):
-        if value <= 0.0:
-            raise ZeroValueAddedError(i, f"sector {table.names[i]!r} has non-positive value added")
     pi0 = taxation.real_tax_vector(table)
     if np.any(pi0 >= 1.0) or np.any(pi0 < 0.0):
         raise BalanceError("observed taxation T1/Delta must lie in [0, 1)")
@@ -314,7 +311,7 @@ def analyze(table: IOTable) -> RealEconomyReport:
     else:
         state = assemble_equilibrium(tech, psi)
 
-    bounds = tax_bounds(pi0, delta / table.big_x)
+    bounds = tax_bounds(pi0, table.delta / big_x)
     return RealEconomyReport(
         pi0=pi0,
         sustainable_at_unit_prices=sustainable,

@@ -16,8 +16,6 @@ from .core import (
     POSITIVE_TOL,
     Technology,
     _vector,
-    is_indecomposable,
-    is_productive,
     matrix_rank,
     nonsingular_lu,
     perron_vector,
@@ -94,9 +92,9 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
         raise ValueError("gross output length does not match sector count")
     if np.any(x <= 0.0):
         raise ValueError("gross output must be strictly positive")
-    if not is_productive(t):
+    if not t.productive:
         raise NotProductiveError("sustainability test requires a productive matrix")
-    if not is_indecomposable(t):
+    if not t.indecomposable:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
     if nonsingular_lu(t.a) is not None:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .balance import balanced_eigenvector
-from .core import Technology, _vector, is_indecomposable
+from .core import Technology, _vector
 from .errors import (
     BalanceInconsistentError,
     ColumnSumViolationError,
@@ -38,12 +38,16 @@ def _column_sums(t_value: Technology) -> np.ndarray:
 
 
 def taxed_clearing_residual(t_value: Technology, big_x, pi) -> np.ndarray:
-    """Residual of sum_i a_ki (1 - pi_i) X_i / s_i = (1 - pi_k) X_k."""
+    """Residual of sum_i a_ki (1 - pi_i) X_i / s_i = (1 - pi_k) X_k.
+
+    A zero column (s_i = 0) has a_ki = 0 in every row, so its term drops out.
+    """
     big_x = _vector(big_x, "gross output")
     pi = _vector(pi, "taxation vector")
     s = t_value.a.sum(axis=0)
     supplied = (1.0 - pi) * big_x
-    return t_value.a @ (supplied / s) - supplied
+    terms = np.divide(supplied, s, out=np.zeros_like(supplied), where=s > 0.0)
+    return t_value.a @ terms - supplied
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,11 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
     """Family of taxation vectors keeping the table's prices in equilibrium.
 
     Requires the value-unit consistency s_i = 1 - Delta_i / X_i between the
-    column sums and the value-added shares.
+    column sums and the value-added shares. A decomposable matrix is refused
+    before the vectors are range-checked.
     """
+    if not t_value.indecomposable:
+        raise DecomposableError("taxation family requires an indecomposable matrix")
     big_x = _vector(big_x, "gross output")
     delta = _vector(delta, "value added")
     if big_x.shape[0] != t_value.n or delta.shape[0] != t_value.n:
@@ -86,8 +93,6 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
         raise ValueError("gross output must be strictly positive")
     if np.any(delta >= big_x):
         raise ValueError("value added must be below gross output")
-    if not is_indecomposable(t_value):
-        raise DecomposableError("taxation family requires an indecomposable matrix")
     s = _column_sums(t_value)
     ratios = 1.0 - delta / big_x
     if float(np.max(np.abs(s - ratios))) > COLUMN_SUM_TOL * max(1.0, float(np.max(ratios))):
@@ -122,8 +127,11 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
 
     ``ratios`` holds the value-added shares Delta_i / X_i. Infeasibility is
     a result, not an error. Sectors taxed at exactly zero are admitted and
-    flagged in the diagnostics.
+    flagged in the diagnostics. A decomposable ``t_value`` is refused first,
+    whatever the bounds.
     """
+    if t_value is not None and not t_value.indecomposable:
+        raise DecomposableError("reconstruction requires an indecomposable matrix")
     pi = _vector(pi, "taxation vector")
     ratios = _vector(ratios, "value-added ratios")
     if pi.shape != ratios.shape:
@@ -151,8 +159,6 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
         s = _column_sums(t_value)
         if float(np.max(np.abs(s - (1.0 - ratios)))) > COLUMN_SUM_TOL:
             raise BalanceInconsistentError("technology column sums disagree with 1 - ratios")
-        if not is_indecomposable(t_value):
-            raise DecomposableError("reconstruction requires an indecomposable matrix")
         x0 = balanced_eigenvector(t_value.a.T)
         reconstructed_x = (s / (1.0 - pi)) * x0
         final_y = reconstructed_x - t_value.a @ reconstructed_x
@@ -181,7 +187,7 @@ class ValueAddedTaxSystem:
 
 def value_added_tax(t_value: Technology) -> ValueAddedTaxSystem:
     """Taxation system with per-sector value added equal to final product."""
-    if not is_indecomposable(t_value):
+    if not t_value.indecomposable:
         raise DecomposableError("value-added taxation requires an indecomposable matrix")
     s = _column_sums(t_value)
     x0 = balanced_eigenvector(t_value.a.T)
@@ -201,9 +207,12 @@ def fit_scale(y_real, base) -> float:
 
 
 def real_tax_vector(table: "IOTable") -> np.ndarray:
-    """Observed taxation: production taxes over gross value added, per sector."""
+    """Observed taxation: production taxes over gross value added, per sector.
+
+    A sector with non-positive value added raises ZeroValueAddedError naming it.
+    """
     delta = table.delta
     for i, value in enumerate(delta):
         if value <= 0.0:
-            raise ZeroValueAddedError(i)
+            raise ZeroValueAddedError(i, f"sector {table.names[i]!r} has non-positive value added")
     return table.t1 / delta

@@ -15,7 +15,13 @@ from ioequil.cli import main
 from ioequil.real_economy import IOTable, analyze, dumps_table
 from ioequil.reporting import validate_report
 
-from conftest import data_path, equal_radius_blocks, leontief_value_table, two_block
+from conftest import (
+    data_path,
+    equal_radius_blocks,
+    leontief_value_table,
+    random_indecomposable,
+    two_block,
+)
 
 # (argv, exit code, SHA-256 of the --format json stdout) for every command on
 # the bundled tables. Refactors must keep these bytes; a change to them must be
@@ -552,6 +558,146 @@ class TestExitCodes:
         assert "argument --tol: invalid tolerance value" in capsys.readouterr().err
         assert main([command, str(path)]) == (1 if command == "check" else 2)
         assert main([command, str(path), "--tol", "inf"]) == 0
+
+
+# sector u has a zero Z row and column (NACE T/U): the loader accepts the
+# table, but its A is decomposable
+ISOLATED_SECTOR_CSV = (
+    "sector,a,b,u,C,E,I,X\n"
+    "a,0.2,0.3,0,0.5,0,0,1\n"
+    "b,0.3,0.2,0,0.5,0,0,1\n"
+    "u,0,0,0,1,0,0,1\n"
+    "T1,0.15,0.15,0.3\nZ1,0.35,0.35,0.7\n"
+)
+# sector agri spends its whole gross output on inputs: Delta = 0
+ZERO_VALUE_ADDED_CSV = (
+    "sector,agri,ind,C,E,I,X\n"
+    "agri,0.5,0.2,0.3,0,0,1\n"
+    "ind,0.5,0.3,0.2,0,0,1\n"
+    "T1,0,0.1\nZ1,0,0.4\n"
+)
+DECOMPOSABLE = {
+    "sustainable": "sustainability test requires an indecomposable matrix",
+    "equilibrium": "stage 'min-excess-qp': minimum-excess program requires an indecomposable matrix",
+    "tax best": "taxation family requires an indecomposable matrix",
+    "tax bounds": "reconstruction requires an indecomposable matrix",
+    "tax value-added": "value-added taxation requires an indecomposable matrix",
+}
+NO_VALUE_ADDED = "sector 'agri' has non-positive value added"
+COLUMN_SUMS = "value-unit column sums must lie strictly inside (0, 1)"
+HYPOTHESIS_TABLES = {"isolated": ISOLATED_SECTOR_CSV, "zero-delta": ZERO_VALUE_ADDED_CSV}
+
+
+class TestHypothesisFailures:
+    @pytest.mark.parametrize("table, argv, code, err", [
+        pytest.param(table, argv, code, err, id=f"{table} {' '.join(argv)}")
+        for table, argv, code, err in [
+            ("isolated", ["check"], 1, None),
+            ("isolated", ["sustainable"], 1, DECOMPOSABLE["sustainable"]),
+            ("isolated", ["sustainable", "--tax-bounds"], 1, DECOMPOSABLE["sustainable"]),
+            ("isolated", ["equilibrium"], 1, DECOMPOSABLE["equilibrium"]),
+            ("isolated", ["tax", "existing"], 0, None),
+            ("isolated", ["tax", "best"], 1, DECOMPOSABLE["tax best"]),
+            ("isolated", ["tax", "bounds"], 1, DECOMPOSABLE["tax bounds"]),
+            ("isolated", ["tax", "value-added"], 1, DECOMPOSABLE["tax value-added"]),
+            ("zero-delta", ["check"], 0, None),
+            ("zero-delta", ["sustainable", "--tax-bounds"], 1, NO_VALUE_ADDED),
+            ("zero-delta", ["equilibrium"], 1, NO_VALUE_ADDED),
+            ("zero-delta", ["tax", "existing"], 1, NO_VALUE_ADDED),
+            ("zero-delta", ["tax", "best"], 1, COLUMN_SUMS),
+            ("zero-delta", ["tax", "bounds"], 1, NO_VALUE_ADDED),
+            ("zero-delta", ["tax", "value-added"], 1, COLUMN_SUMS),
+        ]
+    ])
+    def test_exit_code_and_single_error_line(self, capsys, tmp_path, table, argv, code, err):
+        # stderr holds the one error line, or nothing: no numpy warning precedes it
+        path = tmp_path / "table.csv"
+        path.write_text(HYPOTHESIS_TABLES[table])
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        assert capsys.readouterr().err == ("" if err is None else f"error: {err}\n")
+
+    def test_no_numpy_warning_on_stderr(self, tmp_path):
+        # a fresh interpreter prints warnings that pytest would capture
+        path = tmp_path / "table.csv"
+        path.write_text(ISOLATED_SECTOR_CSV)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ioequil.__file__))}
+        done = subprocess.run([sys.executable, "-m", "ioequil.cli", "equilibrium", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (1, f"error: {DECOMPOSABLE['equilibrium']}\n")
+
+    def test_merging_the_isolated_sector_is_the_remedy(self, capsys, tmp_path):
+        # aggregating u into b gives an indecomposable coarse table
+        path, amap, coarse = tmp_path / "table.csv", tmp_path / "merge.map", tmp_path / "coarse.csv"
+        path.write_text(ISOLATED_SECTOR_CSV)
+        amap.write_text("1 1\n2 2\n3 2\n")
+        assert main(["aggregate", str(path), str(amap), "--out", str(coarse)]) == 0
+        for mode in ("best", "bounds", "value-added"):
+            assert main(["tax", str(coarse), mode]) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def table40(tmp_path_factory):
+    """A generated 40-sector Leontief table at 30% density and a map pairing its sectors."""
+    root = tmp_path_factory.mktemp("table40")
+    rng = np.random.default_rng(40)
+    a = random_indecomposable(rng, 40, density=0.3)
+    a *= rng.uniform(0.35, 0.75, 40) / a.sum(axis=0)
+    table = leontief_value_table(rng, a)
+    (root / "table.csv").write_text(dumps_table(table))
+    (root / "pairs.map").write_text("".join(f"{k + 1} {k // 2 + 1}\n" for k in range(40)))
+    return root / "table.csv", root / "pairs.map"
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """Rebind ``core.<name>`` wherever an ioequil module holds it; the list
+    collects the first argument of every call."""
+    from ioequil import core
+
+    original = getattr(core, name)
+    seen = []
+
+    def recorded(t, *args, **kwargs):
+        seen.append(t)
+        return original(t, *args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "ioequil" or key.startswith("ioequil."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    return seen
+
+
+class TestFactsDecidedOnce:
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["sustainable", "--tax-bounds"], ["equilibrium"],
+        ["equilibrium", "--alpha", ",".join(["1"] + ["0"] * 39)],
+        ["tax", "best"], ["tax", "bounds"], ["tax", "value-added"], ["aggregate"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_one_technology_one_sweep(self, capsys, monkeypatch, table40, argv):
+        from ioequil import core
+
+        path, amap = table40
+        a = load_table(path).a_bar
+        built = []
+        post_init = core.Technology.__post_init__
+
+        def recorded_post_init(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(core.Technology, "__post_init__", recorded_post_init)
+        indecomposable = _record_calls(monkeypatch, "is_indecomposable")
+        productive = _record_calls(monkeypatch, "is_productive")
+        maps = [str(amap)] if argv[0] == "aggregate" else []
+        code = main([argv[0], str(path), *maps, *argv[1:], "--format", "json"])
+        assert code in (0, 1) and capsys.readouterr().err == ""
+
+        own = [t for t in built if t.a.shape == a.shape and np.array_equal(t.a, a)]
+        assert len(own) == 1
+        assert sum(any(x is t or x is t.a for t in own) for x in indecomposable) <= 1
+        assert len(productive) <= 1
 
 
 class TestDeterminism:

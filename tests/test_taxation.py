@@ -216,10 +216,11 @@ class TestRealTaxVector:
 
     def test_zero_value_added(self):
         class FakeTable:
+            names = ("agri", "ind")
             t1 = np.array([0.1, 0.2])
             delta = np.array([0.5, 0.0])
 
-        with pytest.raises(ZeroValueAddedError) as err:
+        with pytest.raises(ZeroValueAddedError, match="^sector 'ind' has non-positive value added$") as err:
             real_tax_vector(FakeTable())
         assert err.value.sector == 1
 
