@@ -267,12 +267,15 @@ def cmd_aggregate(args) -> tuple[Report, int]:
     if args.out is not None:
         names = tuple(f"c{k + 1}" for k in range(coarse.n))
         z = coarse.a_bar * coarse.big_x[None, :]
+        # grouped production taxes; the rest of Delta is the coarse Z1, so
+        # the column balance holds as it does for Delta itself
+        t1 = amap.indicator() @ table.t1
         out_table = real_economy.IOTable(
             names=names,
             z=z,
             big_x=coarse.big_x,
-            t1=np.zeros(coarse.n),
-            z1=coarse.delta,
+            t1=t1,
+            z1=coarse.delta - t1,
             consumption=coarse.consumption,
             exports=np.zeros(coarse.n),
             imports=np.zeros(coarse.n),

@@ -12,7 +12,9 @@ rectangular ranks count the pivots of a column-pivoted QR (Businger & Golub)
 above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
 is a single strong component of the support digraph, decided in numpy by
 two breadth-first reachability sweeps from sector 0 (one along the edges,
-one against them; O(n^2), no scipy). The coordinates of a vector in a set
+one against them; O(n^2), no scipy). For A itself the LU verdict and its
+factors are cached as ``Technology.lu``, which the sustainability solve and
+the minimum-excess QP's start both read. The coordinates of a vector in a set
 of independent columns come from one least-squares solve
 (``np.linalg.lstsq``); the columns first pass the full-column-rank check,
 and a separate max-norm residual test decides span membership.
@@ -79,10 +81,11 @@ class Technology:
     """Square non-negative direct-cost matrix; column ``i`` holds the inputs
     consumed to produce one unit of good ``i``.
 
-    ``indecomposable`` and ``productive`` are decided once, on first use,
-    and cached. The cache cannot go stale: ``__post_init__`` keeps a
-    read-only private copy of A, so no caller can change the matrix behind
-    a decided fact.
+    ``indecomposable``, ``productive`` and ``lu`` are decided once, on
+    first use, and cached. The cache cannot go stale: ``__post_init__``
+    keeps a read-only private copy of A, so no caller can change the matrix
+    behind a decided fact, and the LU factors are read-only too, so no
+    reader can overwrite them in place.
     """
 
     a: np.ndarray
@@ -108,6 +111,15 @@ class Technology:
     @cached_property
     def productive(self) -> bool:
         return is_productive(self)
+
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``nonsingular_lu(A)``: read-only factors ``(lu, piv)``, or None for a singular A."""
+        factors = nonsingular_lu(self.a)
+        if factors is not None:
+            for f in factors:
+                f.setflags(write=False)
+        return factors
 
 
 class ConeStatus(Enum):

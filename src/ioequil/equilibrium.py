@@ -25,6 +25,7 @@ from .errors import (
     HypothesisViolatedError,
     ModelError,
     PipelineError,
+    SupportViolationError,
     ZeroColumnError,
     ZeroValueError,
 )
@@ -124,7 +125,7 @@ def min_excess_qp(t: Technology, b) -> np.ndarray:
         raise ValueError("supply vector must be strictly positive")
     if not t.indecomposable:
         raise DecomposableError("minimum-excess program requires an indecomposable matrix")
-    result = qp.solve_min_excess(t.a, b)
+    result = qp.solve_min_excess(t, b)
     z = result.z
     if np.min(z) < -1e-12 or float(np.max(t.a @ z - b)) > 1e-9 * max(1.0, float(np.max(b))):
         raise HypothesisViolatedError("active-set result violates feasibility")
@@ -165,7 +166,10 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     ``z`` must solve the binding system restricted to the binding index set
     (strictly positive there, slack elsewhere); prices are the Perron vector
     (multiplier one) of the weighted map on the binding block, extended by
-    zero.
+    zero. A z that fails the support conditions raises SupportViolationError
+    and, after it, a decomposable binding minor raises
+    DecomposableMinorError: these two decide whether the support branch of
+    ``assemble_equilibrium`` applies.
     """
     b = _vector(b, "supply vector")
     z = _vector(z, "solution vector")
@@ -175,12 +179,14 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     if any(i < 0 or i >= t.n for i in idx):
         raise ValueError("binding set contains out-of-range indices")
     rest = [i for i in range(t.n) if i not in idx]
+    # the support conditions before the minor: an optimum that fails them,
+    # as most optima that take the generalized branch do, needs no sweep
+    reason = _support_violation(t, b, z, idx, rest)
+    if reason is not None:
+        raise SupportViolationError(reason)
     minor = t.a[np.ix_(idx, idx)]
     if not is_indecomposable(minor):
         raise DecomposableMinorError("binding-set minor is decomposable")
-    reason = _support_violation(t, b, z, idx, rest)
-    if reason is not None:
-        raise HypothesisViolatedError(reason)
 
     y = z[idx] / b[idx]
     p_block = perron_vector(y[:, None] * minor.T, "support prices")
@@ -265,11 +271,12 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
     """Minimum-excess equilibrium state for supply b.
 
     Runs the quadratic program, derives the binding set, builds prices on
-    the binding support when the solution allows it (falling back to the
-    real-consumption fixed point otherwise), fills generalized prices with
-    input costs on slack rows, and evaluates the excess-supply level. The
-    real consumption b_bar is A z on slack rows and exactly b on binding
-    rows.
+    the binding support when ``prices_on_support`` accepts the optimum
+    (falling back to the real-consumption fixed point when it finds the
+    binding minor decomposable or the support conditions violated), fills
+    generalized prices with input costs on slack rows, and evaluates the
+    excess-supply level. The real consumption b_bar is A z on slack rows
+    and exactly b on binding rows.
     """
     b = _vector(b, "supply vector")
     try:
@@ -284,14 +291,15 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
             "binding-set", HypothesisViolatedError("no binding rows at the program optimum")
         )
 
-    supported = _support_violation(t, b, z0, idx, rest) is None
-    if supported and is_indecomposable(t.a[np.ix_(idx, idx)]):
+    try:
+        p = prices_on_support(t, b, z0, idx)
+    except (DecomposableMinorError, SupportViolationError):
+        p = None
+    except ModelError as exc:
+        raise PipelineError("prices-on-support", exc) from exc
+    if p is not None:
         z_used = np.zeros(t.n)
         z_used[idx] = z0[idx]
-        try:
-            p = prices_on_support(t, b, z_used, idx)
-        except ModelError as exc:
-            raise PipelineError("prices-on-support", exc) from exc
         p_u = p.copy()
         for j in rest:
             cost = float(t.a[idx, j] @ p[idx])

@@ -57,6 +57,10 @@ class HypothesisViolatedError(ModelError):
     """A mathematical hypothesis needed by the operation does not hold."""
 
 
+class SupportViolationError(HypothesisViolatedError):
+    """A solution restricted to the binding set cannot carry support prices."""
+
+
 class ZeroImageError(ModelError):
     """A @ y vanishes, no scale can be extracted."""
 

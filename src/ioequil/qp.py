@@ -2,17 +2,21 @@
 
     min ||A z - b||^2   subject to   z >= 0,  A z <= b.
 
-When A is square and ``core.nonsingular_lu`` factors it (no zero pivot and
-a reciprocal condition number, LAPACK gecon, above PIVOT_RTOL), the
+``solve_min_excess`` takes A as a ``core.Technology`` or as an array. When
+A is square and ``core.nonsingular_lu`` factors it (no zero pivot and a
+reciprocal condition number, LAPACK gecon, above PIVOT_RTOL), the
 substitution u = A z - b turns the program into
 the least-distance program min ||u|| subject to G u >= h, with
 G = [A^-1; -I] and h = [-A^-1 b; 0] (Lawson and Hanson, Solving Least
 Squares Problems, 1974, ch. 23). One NNLS fit of e_{n+1} by the columns of
 [G^T; h^T] solves it, and its positive coefficients name the optimal
 working set: coefficient i < n a bound z_i = 0, coefficient n + k a
-binding supply row k. A^-1 amplifies the rounding of u, so z is rebuilt on
-that working set: the particular solution Q1 R^-T b_R of the binding rows
-plus the least-squares step in their null space (below).
+binding supply row k. A ``Technology`` supplies the factors of A from its
+cached ``lu``, so a command that has already decided whether A is singular
+does not factor it again; an array is factored here. A^-1 amplifies the
+rounding of u, so z is rebuilt on that working set: the particular
+solution Q1 R^-T b_R of the binding rows plus the least-squares step in
+their null space (below).
 
 A singular square A takes the same start from the shifted matrix
 A + SHIFT max|A| E: the NNLS and its working set come from the shifted
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PIVOT_RTOL, nonsingular_lu
+from .core import PIVOT_RTOL, Technology, nonsingular_lu
 from .errors import SolverStallError
 
 KKT_TOL = 1e-10
@@ -107,14 +111,16 @@ def _null_space_step(a_free: np.ndarray, null_basis: np.ndarray, residual: np.nd
     return null_basis @ v
 
 
-def _least_distance_start(a: np.ndarray, b: np.ndarray,
-                          scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, str] | None:
+def _least_distance_start(a: np.ndarray, b: np.ndarray, scale: float,
+                          factors: tuple[np.ndarray, np.ndarray] | None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str] | None:
     """(z, bounds, binding rows, start) of the least-distance optimum, or None.
 
-    The start is "ldp" when ``core.nonsingular_lu`` factors A and "shifted"
-    when it factors A + SHIFT max|A| E instead; the NNLS runs on those
-    factors, the rebuild of z on A. None when A is not square or both
-    factorizations are rejected, when the working rows on the free
+    ``factors`` is ``core.nonsingular_lu(A)``, or None when A is singular or
+    not square. The start is "ldp" on those factors and "shifted" when
+    ``core.nonsingular_lu`` factors A + SHIFT max|A| E instead; the NNLS
+    runs on the factors, the rebuild of z on A. None when A is not square
+    or both factorizations are rejected, when the working rows on the free
     variables are dependent, or when the rebuilt z is infeasible beyond
     ``STEP_TOL * scale``; negative dust within it is zeroed.
     """
@@ -124,7 +130,7 @@ def _least_distance_start(a: np.ndarray, b: np.ndarray,
     n = b.shape[0]
     if a.shape != (n, n):
         return None
-    factors, start = nonsingular_lu(a), "ldp"
+    start = "ldp"
     if factors is None:
         factors, start = nonsingular_lu(a + SHIFT * np.max(np.abs(a)) * np.eye(n)), "shifted"
     if factors is None:
@@ -169,7 +175,7 @@ def _kkt_residual(a: np.ndarray, gradient: np.ndarray, fixed: np.ndarray, rows: 
     return float(np.linalg.norm(residual))
 
 
-def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
+def solve_min_excess(a: Technology | np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the least-distance working set.
 
     The start (module docstring) is the rebuilt least-distance optimum with
@@ -181,14 +187,21 @@ def solve_min_excess(a: np.ndarray, b: np.ndarray) -> QPResult:
     certify the point. Raises SolverStallError when the iteration cap of
     100 (n + m + 2) is hit, when the certificate fails (a degenerate working
     set that cannot be improved) or when the NNLS solve hits its own cap.
+
+    A ``Technology`` supplies the factors of A from its cached ``lu``; an
+    array, which may be rectangular, is factored here when it is square.
     """
     from scipy.linalg import solve_triangular
 
+    if isinstance(a, Technology):
+        a, factors = a.a, a.lu
+    else:
+        factors = nonsingular_lu(a) if a.shape[0] == a.shape[1] else None
     n, mvar = a.shape
     max_iter = 100 * (n + mvar + 2)
     scale = max(1.0, float(np.max(np.abs(b))))
     # working bounds z_i = 0, rows (A z)_k = b_k
-    z, bound, binding, start = _least_distance_start(a, b, scale) or (
+    z, bound, binding, start = _least_distance_start(a, b, scale, factors) or (
         np.zeros(mvar), np.ones(mvar, dtype=bool), np.zeros(n, dtype=bool), "zero")
 
     for it in range(max_iter):

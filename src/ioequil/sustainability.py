@@ -17,7 +17,6 @@ from .core import (
     Technology,
     _vector,
     matrix_rank,
-    nonsingular_lu,
     perron_vector,
 )
 from .errors import (
@@ -97,7 +96,7 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     if not t.indecomposable:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
-    if nonsingular_lu(t.a) is not None:
+    if t.lu is not None:
         # numpy and scipy ship different OpenBLAS builds whose solves differ in the
         # last digits: numpy keeps the certificate's bytes at the cost of a second LU
         b1 = np.linalg.solve(t.a, x)

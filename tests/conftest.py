@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import importlib
 import itertools
 import json
 import os
+import sys
 from importlib import resources
 
 # One BLAS thread unless the caller chose otherwise, set before numpy
@@ -746,3 +748,36 @@ def canonical_json_reference(value) -> str:
             raise TypeError("report keys must be strings")
         return "{" + ",".join(f"{json.dumps(k)}:{canonical_json_reference(v)}" for k, v in items) + "}"
     raise TypeError(f"unsupported report value of type {type(value).__name__}")
+
+
+def record_calls(monkeypatch, name: str) -> list:
+    """Rebind the function ``<module>.<function>`` of ioequil wherever an
+    ioequil module holds it; the list collects the first argument of every
+    call."""
+    module_name, attr = name.split(".")
+    original = getattr(importlib.import_module(f"ioequil.{module_name}"), attr)
+    seen = []
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "ioequil" or key.startswith("ioequil."):
+            for held, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, held, recorded)
+    return seen
+
+
+def record_technologies(monkeypatch) -> list[Technology]:
+    """Collect every ``Technology`` built from now on."""
+    built = []
+    post_init = Technology.__post_init__
+
+    def recorded_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Technology, "__post_init__", recorded_post_init)
+    return built

@@ -20,6 +20,8 @@ from conftest import (
     equal_radius_blocks,
     leontief_value_table,
     random_indecomposable,
+    record_calls,
+    record_technologies,
     two_block,
 )
 
@@ -439,6 +441,34 @@ class TestAggregate:
         assert doc["results"]["sum_C"] == pytest.approx(doc["results"]["sum_Delta"])
         emitted = loads_table(out.read_text())
         assert np.allclose(emitted.a_bar, [[0.2, 0.4], [0.2, 0.1]])
+        assert np.allclose(emitted.t1, [0.6, 0.25]) and np.allclose(emitted.z1, [0.6, 0.25])
+        code, doc = run_json(capsys, ["tax", str(out), "existing", "--format", "json"])
+        assert code == 0 and np.allclose(doc["results"]["pi0"], [0.5, 0.5])
+
+    def test_emitted_csv_keeps_the_grouped_production_taxes(self, capsys, tmp_path):
+        # oracle from the fine table: the coarse T1 is the fine T1 summed per
+        # group, and the coarse tax share is grouped T1 over grouped Delta
+        rng = np.random.default_rng(6)
+        a = random_indecomposable(rng, 6)
+        a *= rng.uniform(0.35, 0.75, 6) / a.sum(axis=0)
+        table = leontief_value_table(rng, a)
+        share = rng.uniform(0.1, 0.6, 6)
+        table = IOTable(table.names, table.z, table.big_x, share * table.delta,
+                        (1.0 - share) * table.delta, table.consumption, table.exports,
+                        table.imports)
+        path, amap, out = tmp_path / "fine.csv", tmp_path / "pairs.map", tmp_path / "coarse.csv"
+        path.write_text(dumps_table(table))
+        amap.write_text("".join(f"{k + 1} {k // 2 + 1}\n" for k in range(6)))
+        assert main(["aggregate", str(path), str(amap), "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        fine, coarse = load_table(path), load_table(out)
+        t1 = fine.t1.reshape(3, 2).sum(axis=1)
+        delta = fine.delta.reshape(3, 2).sum(axis=1)
+        assert np.allclose(coarse.t1, t1, rtol=1e-12)
+        assert np.allclose(coarse.delta, delta, rtol=1e-12)
+        code, doc = run_json(capsys, ["tax", str(out), "existing", "--format", "json"])
+        assert code == 0 and np.allclose(doc["results"]["pi0"], t1 / delta, rtol=1e-10)
 
     def test_identity_map_recodes(self, capsys, toy3, tmp_path):
         path = tmp_path / "id.map"
@@ -649,26 +679,6 @@ def table40(tmp_path_factory):
     return root / "table.csv", root / "pairs.map"
 
 
-def _record_calls(monkeypatch, name: str) -> list:
-    """Rebind ``core.<name>`` wherever an ioequil module holds it; the list
-    collects the first argument of every call."""
-    from ioequil import core
-
-    original = getattr(core, name)
-    seen = []
-
-    def recorded(t, *args, **kwargs):
-        seen.append(t)
-        return original(t, *args, **kwargs)
-
-    for key, module in list(sys.modules.items()):
-        if key == "ioequil" or key.startswith("ioequil."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recorded)
-    return seen
-
-
 class TestFactsDecidedOnce:
     @pytest.mark.parametrize("argv", [
         ["check"], ["sustainable", "--tax-bounds"], ["equilibrium"],
@@ -676,20 +686,12 @@ class TestFactsDecidedOnce:
         ["tax", "best"], ["tax", "bounds"], ["tax", "value-added"], ["aggregate"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_one_technology_one_sweep(self, capsys, monkeypatch, table40, argv):
-        from ioequil import core
-
         path, amap = table40
         a = load_table(path).a_bar
-        built = []
-        post_init = core.Technology.__post_init__
-
-        def recorded_post_init(self):
-            post_init(self)
-            built.append(self)
-
-        monkeypatch.setattr(core.Technology, "__post_init__", recorded_post_init)
-        indecomposable = _record_calls(monkeypatch, "is_indecomposable")
-        productive = _record_calls(monkeypatch, "is_productive")
+        built = record_technologies(monkeypatch)
+        indecomposable = record_calls(monkeypatch, "core.is_indecomposable")
+        productive = record_calls(monkeypatch, "core.is_productive")
+        factored = record_calls(monkeypatch, "core.nonsingular_lu")
         maps = [str(amap)] if argv[0] == "aggregate" else []
         code = main([argv[0], str(path), *maps, *argv[1:], "--format", "json"])
         assert code in (0, 1) and capsys.readouterr().err == ""
@@ -698,6 +700,28 @@ class TestFactsDecidedOnce:
         assert len(own) == 1
         assert sum(any(x is t or x is t.a for t in own) for x in indecomposable) <= 1
         assert len(productive) <= 1
+        # the sustainability solve and the QP start share the one LU of A
+        assert sum(x.shape == a.shape and np.array_equal(x, a) for x in factored) <= 1
+
+    @pytest.mark.parametrize("argv", [["equilibrium"], ["sustainable", "--tax-bounds"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_toy3_support_branch_decided_once(self, capsys, monkeypatch, toy3, argv):
+        # toy3's optimum binds on every row and carries support prices:
+        # prices_on_support alone sweeps the binding minor and checks the
+        # support conditions. The minor equals A here, but the Technology
+        # sweeps its own A, so the minor sweeps are those of arrays that
+        # share no memory with it
+        built = record_technologies(monkeypatch)
+        sweeps = record_calls(monkeypatch, "core.is_indecomposable")
+        support = record_calls(monkeypatch, "equilibrium._support_violation")
+        code, doc = run_json(capsys, [argv[0], str(toy3), *argv[1:], "--format", "json"])
+        if argv[0] == "equilibrium":
+            assert (code, doc["results"]["mode"]) == (0, "support")
+
+        (t,) = built
+        minors = [x for x in sweeps if not np.shares_memory(x, t.a)]
+        assert len(minors) == 1 and np.array_equal(minors[0], t.a)
+        assert support == [t]
 
 
 class TestDeterminism:

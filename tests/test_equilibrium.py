@@ -21,6 +21,7 @@ from ioequil.errors import (
     DecomposableMinorError,
     HypothesisViolatedError,
     PipelineError,
+    SupportViolationError,
     ZeroColumnError,
     ZeroValueError,
 )
@@ -188,14 +189,15 @@ class TestPricesOnSupport:
         ([[0.5, 0.1], [0.4, 0.3]], [1.0, 0.8], [2.0, 0.0], [0, 1], "strictly positive"),
     ], ids=["not-binding", "not-slack", "not-positive"])
     def test_support_hypotheses_named(self, a, b, z, binding, reason):
-        with pytest.raises(HypothesisViolatedError, match=reason):
+        with pytest.raises(SupportViolationError, match=reason):
             prices_on_support(Technology(a), b, z, binding)
 
     def test_decomposable_minor_rejected(self):
-        t = Technology([[0.0, 0.4], [0.4, 0.0]])
-        b = np.array([0.4, 1.0])
-        with pytest.raises((DecomposableMinorError, HypothesisViolatedError)):
-            prices_on_support(t, b, [1.0, 0.0], [0])
+        # z binds on both rows and is positive there, so the support
+        # conditions hold, but the minor has two strong components
+        t = Technology([[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(DecomposableMinorError):
+            prices_on_support(t, [1.0, 1.0], [2.0, 2.0], [0, 1])
 
     def test_contracts_on_constructed_instances(self, rng):
         for _ in range(100):

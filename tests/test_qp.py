@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ioequil import load_table
+from ioequil import Technology, load_table
 from ioequil.errors import SolverStallError
 from ioequil.qp import solve_min_excess
 
@@ -158,6 +158,45 @@ def test_infeasible_least_distance_point_falls_back_to_the_zero_start(monkeypatc
     result = solve_min_excess(np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0]))
     assert len(calls) == 1 and result.start == "zero"
     assert np.allclose(result.z, [10.0, 0.0], atol=1e-8) and result.binding_rows == (0,)
+
+
+def _bundled(name):
+    table = load_table(data_path(name))
+    return table.a_bar, table.big_x / 2.0
+
+
+def _random(n, density, deficiency=0):
+    rng = np.random.default_rng([n, int(10 * density), deficiency])
+    if deficiency:
+        a = dependent_columns(rng, n, deficiency, density)
+    else:
+        a = random_indecomposable(rng, n, density=density)
+    a = column_sums_in_value_units(rng, a)
+    return a, value_table_supply(rng, a)
+
+
+SAME_START_INSTANCES = {
+    "toy2": (lambda: _bundled("toy2.csv"), "ldp"),
+    "toy3": (lambda: _bundled("toy3.csv"), "shifted"),
+    "dense n=20": (lambda: _random(20, 1.0), "ldp"),
+    "30% density n=20": (lambda: _random(20, 0.3), "ldp"),
+    "dense n=60": (lambda: _random(60, 1.0), "ldp"),
+    "30% density n=60": (lambda: _random(60, 0.3), "ldp"),
+    "rank n-1 n=20": (lambda: _random(20, 0.3, deficiency=1), "shifted"),
+}
+
+
+@pytest.mark.parametrize("kind", SAME_START_INSTANCES)
+def test_technology_reuses_its_lu_for_the_same_result(kind):
+    # a Technology hands the QP the factors of its cached lu; an array is
+    # factored by the same call inside the QP
+    make, start = SAME_START_INSTANCES[kind]
+    a, b = make()
+    from_array = solve_min_excess(a, b)
+    from_technology = solve_min_excess(Technology(a), b)
+    assert from_array.start == start
+    assert from_technology.z.tobytes() == from_array.z.tobytes()
+    assert (from_technology.start, from_technology.iterations) == (start, from_array.iterations)
 
 
 REFERENCE_INSTANCES = {

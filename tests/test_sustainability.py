@@ -218,6 +218,15 @@ class TestOneSingularityTest:
             product = (np.tril(lu, -1) + np.eye(n)) @ np.triu(lu)
             assert np.allclose(product, a[perm], atol=1e-14)
 
+    def test_technology_caches_read_only_factors(self, rng):
+        t = random_productive(rng, 8)
+        lu, piv = t.lu
+        assert t.lu[0] is lu
+        fresh_lu, fresh_piv = nonsingular_lu(t.a)
+        assert (lu.tobytes(), piv.tobytes()) == (fresh_lu.tobytes(), fresh_piv.tobytes())
+        assert not (lu.flags.writeable or piv.flags.writeable)
+        assert load_table(data_path("toy3.csv")).technology.lu is None
+
     def test_rejected_lu_takes_every_singular_branch(self, rng, monkeypatch):
         from ioequil import core, qp, sustainability
 
@@ -236,8 +245,9 @@ class TestOneSingularityTest:
             calls.append(1)
             return original(m)
 
-        # the sustainability solve first: its certificate prices need core's binding
-        monkeypatch.setattr(sustainability, "nonsingular_lu", lambda m: None)
+        # the sustainability solve first: its certificate prices need core's
+        # binding. t.lu is cached by now, so a class property overrides it
+        monkeypatch.setattr(core.Technology, "lu", property(lambda self: None))
         monkeypatch.setattr(sustainability, "matrix_rank", counted)
         assert check_sustainable(t, x).sustainable
         assert len(calls) == 1
