@@ -43,7 +43,7 @@ def balance_residual(b1: np.ndarray, d: np.ndarray) -> float:
     return float(np.max(np.abs(b1.T @ d - b1.sum(axis=1) * d)))
 
 
-def balanced_eigenvector(b1) -> np.ndarray:
+def balanced_eigenvector(b1: Technology | np.ndarray) -> np.ndarray:
     """Strictly positive d with sum_k b1_ki d_k = (sum_s b1_is) d_i, sum d = 1.
 
     Row-normalizing ``b1`` turns the system into the stochastic fixed point
@@ -56,8 +56,13 @@ def balanced_eigenvector(b1) -> np.ndarray:
     For a decomposable matrix the solution is not unique; the uniform vector
     is returned as the canonical representative when it solves the system,
     otherwise DecomposableError is raised.
+
+    A ``Technology`` t stands for its balance matrix ``t.a.T``, and its
+    cached ``indecomposable`` decides, since A^T has the strong components
+    of A; an array is swept here.
     """
-    b1 = _matrix(b1, "balance matrix")
+    t = b1 if isinstance(b1, Technology) else None
+    b1 = _matrix(b1 if t is None else t.a.T, "balance matrix")
     l = b1.shape[0]
     if b1.shape[1] != l:
         raise ValueError("balance matrix must be square")
@@ -65,7 +70,7 @@ def balanced_eigenvector(b1) -> np.ndarray:
         raise ValueError("balance matrix must be non-negative")
     scale = max(1.0, float(np.max(b1)))
     row_sums = b1.sum(axis=1)
-    if not is_indecomposable(b1) and l > 1:
+    if not (is_indecomposable(b1) if t is None else t.indecomposable) and l > 1:
         uniform = np.full(l, 1.0 / l)
         if np.any(row_sums <= 0.0):
             raise DecomposableError("balance matrix has a zero row")

@@ -5,43 +5,43 @@
 ``solve_min_excess`` takes A as a ``core.Technology`` or as an array. When
 A is square and ``core.nonsingular_lu`` factors it (no zero pivot and a
 reciprocal condition number, LAPACK gecon, above PIVOT_RTOL), the
-substitution u = A z - b turns the program into
-the least-distance program min ||u|| subject to G u >= h, with
-G = [A^-1; -I] and h = [-A^-1 b; 0] (Lawson and Hanson, Solving Least
-Squares Problems, 1974, ch. 23). One NNLS fit of e_{n+1} by the columns of
-[G^T; h^T] solves it, and its positive coefficients name the optimal
-working set: coefficient i < n a bound z_i = 0, coefficient n + k a
-binding supply row k. A ``Technology`` supplies the factors of A from its
-cached ``lu``, so a command that has already decided whether A is singular
-does not factor it again; an array is factored here. A^-1 amplifies the
-rounding of u, so z is rebuilt on that working set: the particular
-solution Q1 R^-T b_R of the binding rows plus the least-squares step in
-their null space (below).
+substitution u = A z - b turns the program into the least-distance program
+min ||u|| subject to G u >= h, with G = [A^-1; -I] and h = [-A^-1 b; 0]
+(Lawson and Hanson, Solving Least Squares Problems, 1974, ch. 23). One
+NNLS fit of e_{n+1} by the columns of [G^T; h^T] solves it, and its
+positive coefficients name the optimal working set: coefficient i < n a
+bound z_i = 0, coefficient n + k a binding supply row k. A ``Technology``
+supplies the factors of A from its cached ``lu``, so a command that has
+already decided whether A is singular does not factor it again; an array
+is factored here. The start names only that working set: A^-1 amplifies
+the rounding of u, so the loop's first pass builds z on it (below).
 
 A singular square A takes the same start from the shifted matrix
 A + SHIFT max|A| E: the NNLS and its working set come from the shifted
-factors, while the rebuild of z, its feasibility test and the loop's
-certificate stay on A itself. The shifted working set is only a guess, so
-a wrong one costs iterations, not correctness. When no start survives
-(A is not square, the shifted matrix fails the LU test too, or the rebuilt
-point is infeasible) the loop starts at z = 0 with every bound in the
-working set.
+factors, while z, its feasibility test and the certificate stay on A
+itself. The shifted working set is only a guess, so a wrong one costs
+iterations, not correctness. When no start survives (A is not square, or
+the shifted matrix fails the LU test too) or the first pass rejects the
+guess, the loop starts at z = 0 with every bound in the working set.
 
-The equality-constrained subproblems are solved by a null-space method,
-which stays well-posed when A^T A is singular. One Householder QR of the
-working supply rows on the free variables gives both the null-space basis
-and, at a stationary point, the Lagrange multipliers by a triangular solve
-(Gill and Murray; Goldfarb and Idnani, Math. Programming 27, 1983). The
-least-squares step in that null space is LAPACK's complete orthogonal
-factorization (gelsy), which returns the minimum-norm step on a singular
-reduced matrix. From the least-distance working set the first pass finds a
-zero step and non-negative multipliers.
+Each pass factors the working supply rows on the free variables once, by
+one Householder QR: it gives the null-space basis and the Lagrange
+multipliers by a triangular solve (Gill and Murray; Goldfarb and Idnani,
+Math. Programming 27, 1983). On a guessed working set the first pass puts
+z at the particular solution Q1 R^-T b_R of the binding rows plus the
+least-squares step in their null space, and rejects the guess when those
+rows are dependent or that z is infeasible. Later passes step from z in
+the null space; a constraint that blocks the step joins the working set
+and ends the pass. The least-squares step is LAPACK's gelsy (complete
+orthogonal factorization), minimum-norm on a singular reduced matrix. An
+unblocked or zero step leaves z at the working set's minimizer, and the
+same pass reads the multipliers off the same QR: it drops the most
+negative, or certifies.
 
-Where no multiplier is negative beyond the tolerance, the point is
-certified by the residual ||g - N max(multipliers, 0)|| of the gradient g
-against the working constraint normals N = [e_i (bounds), -a_k (rows)].
-So a solve on a square A makes at most one NNLS call, the least-distance
-fit, and none on any other A.
+Where no multiplier is negative beyond the tolerance, the certificate is
+the residual ||g - N max(multipliers, 0)|| of the gradient g against the
+working constraint normals N = [e_i (bounds), -a_k (rows)]. So a solve on
+a square A makes one NNLS call at most, the least-distance fit.
 """
 
 from __future__ import annotations
@@ -111,20 +111,17 @@ def _null_space_step(a_free: np.ndarray, null_basis: np.ndarray, residual: np.nd
     return null_basis @ v
 
 
-def _least_distance_start(a: np.ndarray, b: np.ndarray, scale: float,
+def _least_distance_start(a: np.ndarray, b: np.ndarray,
                           factors: tuple[np.ndarray, np.ndarray] | None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str] | None:
-    """(z, bounds, binding rows, start) of the least-distance optimum, or None.
+                          ) -> tuple[np.ndarray, np.ndarray, str] | None:
+    """(bounds, binding rows, start) of the least-distance optimum, or None.
 
     ``factors`` is ``core.nonsingular_lu(A)``, or None when A is singular or
     not square. The start is "ldp" on those factors and "shifted" when
-    ``core.nonsingular_lu`` factors A + SHIFT max|A| E instead; the NNLS
-    runs on the factors, the rebuild of z on A. None when A is not square
-    or both factorizations are rejected, when the working rows on the free
-    variables are dependent, or when the rebuilt z is infeasible beyond
-    ``STEP_TOL * scale``; negative dust within it is zeroed.
+    ``core.nonsingular_lu`` factors A + SHIFT max|A| E instead. None when A
+    is not square, when both factorizations are rejected, or when more rows
+    bind than variables are free.
     """
-    from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dgetri
 
     n = b.shape[0]
@@ -145,25 +142,10 @@ def _least_distance_start(a: np.ndarray, b: np.ndarray, scale: float,
     target = np.zeros(n + 1)
     target[n] = 1.0
     coefficients, _ = _nnls(ldp, target, "least-distance start")
-    bound = coefficients[:n] > 0.0
-    binding = coefficients[n:] > 0.0
-
-    free, rows = np.flatnonzero(~bound), np.flatnonzero(binding)
-    if rows.size > free.size:
+    bound, binding = coefficients[:n] > 0.0, coefficients[n:] > 0.0
+    if np.count_nonzero(binding) > n - np.count_nonzero(bound):
         return None
-    q, r = np.linalg.qr(a[np.ix_(rows, free)].T, mode="complete")
-    pivots = np.abs(np.diag(r))
-    z = np.zeros(n)
-    if rows.size:
-        if np.min(pivots) <= PIVOT_RTOL * np.max(pivots):
-            return None
-        z[free] = q[:, :rows.size] @ solve_triangular(r[:rows.size], b[rows], trans="T")
-    a_free = a[:, free]
-    z[free] += _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
-    if np.min(z) < -STEP_TOL * scale or np.max(a @ z - b) > STEP_TOL * scale:
-        return None
-    z[z < 0.0] = 0.0
-    return z, bound, binding, start
+    return bound, binding, start
 
 
 def _kkt_residual(a: np.ndarray, gradient: np.ndarray, fixed: np.ndarray, rows: np.ndarray,
@@ -178,15 +160,16 @@ def _kkt_residual(a: np.ndarray, gradient: np.ndarray, fixed: np.ndarray, rows: 
 def solve_min_excess(a: Technology | np.ndarray, b: np.ndarray) -> QPResult:
     """Solve the bounded least-squares program from the least-distance working set.
 
-    The start (module docstring) is the rebuilt least-distance optimum with
-    its bounds and binding rows, or z = 0 with every bound in the working
-    set. Each iteration factors the working supply rows on the free
-    variables once, A[rows, F]^T = Q R: the trailing columns of Q span the
-    null space the step lives in, and at a stationary point the row
-    multipliers come from R. Where none is negative the same multipliers
-    certify the point. Raises SolverStallError when the iteration cap of
-    100 (n + m + 2) is hit, when the certificate fails (a degenerate working
-    set that cannot be improved) or when the NNLS solve hits its own cap.
+    The start (module docstring) names a working set, the least-distance
+    bounds and binding rows, or every bound at z = 0. Each pass factors the
+    working supply rows on the free variables once, A[rows, F]^T = Q R: the
+    trailing columns of Q span the null space z steps in, and the row
+    multipliers come from R. A pass that leaves z at the working set's
+    minimizer drops the most negative multiplier or, where none is
+    negative, certifies z with the same multipliers. Raises
+    SolverStallError when the iteration cap of 100 (n + m + 2) is hit, when
+    the certificate fails (a degenerate working set that cannot be
+    improved) or when the NNLS solve hits its own cap.
 
     A ``Technology`` supplies the factors of A from its cached ``lu``; an
     array, which may be rectangular, is factored here when it is square.
@@ -201,66 +184,83 @@ def solve_min_excess(a: Technology | np.ndarray, b: np.ndarray) -> QPResult:
     max_iter = 100 * (n + mvar + 2)
     scale = max(1.0, float(np.max(np.abs(b))))
     # working bounds z_i = 0, rows (A z)_k = b_k
-    z, bound, binding, start = _least_distance_start(a, b, scale, factors) or (
-        np.zeros(mvar), np.ones(mvar, dtype=bool), np.zeros(n, dtype=bool), "zero")
+    bound, binding, start = _least_distance_start(a, b, factors) or (
+        np.ones(mvar, dtype=bool), np.zeros(n, dtype=bool), "zero")
+    z = np.zeros(mvar)
 
     for it in range(max_iter):
         free = np.flatnonzero(~bound)
         rows = np.flatnonzero(binding)
         a_free = a[:, free]
-        # the working normals stay linearly independent (each enters
-        # through the ratio test, off the span of the others), so R is
-        # nonsingular and Q's last columns span the null space
+        # the working normals stay linearly independent (a guess is tested,
+        # and each later one enters through the ratio test, off the span of
+        # the others), so R is nonsingular and Q's last columns span the null space
         q, r = np.linalg.qr(a_free[rows].T, mode="complete")
         direction = np.zeros(mvar)
-        direction[free] = _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
-
-        if np.max(np.abs(direction)) <= STEP_TOL * scale:
-            gradient = 2.0 * a.T @ (a @ z - b)
-            fixed = np.flatnonzero(bound)
-            if fixed.size == 0 and rows.size == 0:
-                kkt_residual = float(np.linalg.norm(gradient))
-                if kkt_residual <= KKT_TOL * scale:
-                    break
-                raise SolverStallError("zero gradient expected with empty working set")
-            # g = sum_i mu_i e_i - sum_k lambda_k a_k: on the free variables
-            # g_F = -Q1 R lambda, on the bounds mu = g_fixed + A[rows, fixed]^T lambda
-            lam = solve_triangular(r[:rows.size], -(q[:, :rows.size].T @ gradient[free]))
-            multipliers = np.concatenate([gradient[fixed] + a[np.ix_(rows, fixed)].T @ lam, lam])
-            tol = KKT_TOL * max(1.0, float(np.linalg.norm(gradient)))
-            worst = int(np.argmin(multipliers))
-            if multipliers[worst] < -tol:
-                if worst < fixed.size:
-                    bound[fixed[worst]] = False
-                else:
-                    binding[rows[worst - fixed.size]] = False
+        if it == 0 and start != "zero":
+            # z on the guessed working set (module docstring); a rejected
+            # guess restarts at z = 0 with every bound, and dust is zeroed
+            pivots = np.abs(np.diag(r))
+            feasible = not (rows.size and np.min(pivots) <= PIVOT_RTOL * np.max(pivots))
+            if feasible:
+                z[free] = q[:, :rows.size] @ solve_triangular(r[:rows.size], b[rows], trans="T")
+                z[free] += _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
+                feasible = not (np.min(z) < -STEP_TOL * scale or np.max(a @ z - b) > STEP_TOL * scale)
+            if not feasible:
+                z[:], bound[:], binding[:], start = 0.0, True, False, "zero"
                 continue
-            kkt_residual = _kkt_residual(a, gradient, fixed, rows, multipliers)
-            if kkt_residual <= tol:
-                break
-            raise SolverStallError("degenerate working set: no droppable constraint")
+            z[z < 0.0] = 0.0
+        else:
+            direction[free] = _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
 
-        # ratio test to the nearest blocking constraint: bounds first, and a
-        # row blocks only when it is nearer by more than 1e-15
-        alpha = 1.0
-        blocking: tuple[np.ndarray, int] | None = None   # (working-set mask, index)
-        falling = np.flatnonzero(direction < -1e-15)
-        limits = z[falling] / -direction[falling]
-        j = _nearest(limits, alpha)
-        if j is not None:
-            alpha, blocking = limits[j], (bound, int(falling[j]))
-        image_step = a @ direction
-        rising = np.flatnonzero((image_step > 1e-15) & ~binding)
-        limits = (b[rising] - (a @ z)[rising]) / image_step[rising]
-        j = _nearest(limits, alpha)
-        if j is not None:
-            alpha, blocking = limits[j], (binding, int(rising[j]))
-        z = z + max(alpha, 0.0) * direction
-        z[z < 0.0] = 0.0
-        if blocking is not None:
-            mask, idx = blocking
-            mask[idx] = True
-            z[bound] = 0.0          # a blocking bound lands on exact zero
+        if np.max(np.abs(direction)) > STEP_TOL * scale:
+            # ratio test to the nearest blocking constraint: bounds first, and
+            # a row blocks only when it is nearer by more than 1e-15
+            alpha = 1.0
+            blocking: tuple[np.ndarray, int] | None = None   # (working-set mask, index)
+            falling = np.flatnonzero(direction < -1e-15)
+            limits = z[falling] / -direction[falling]
+            j = _nearest(limits, alpha)
+            if j is not None:
+                alpha, blocking = limits[j], (bound, int(falling[j]))
+            image_step = a @ direction
+            rising = np.flatnonzero((image_step > 1e-15) & ~binding)
+            limits = (b[rising] - (a @ z)[rising]) / image_step[rising]
+            j = _nearest(limits, alpha)
+            if j is not None:
+                alpha, blocking = limits[j], (binding, int(rising[j]))
+            z = z + max(alpha, 0.0) * direction
+            z[z < 0.0] = 0.0
+            if blocking is not None:
+                mask, idx = blocking
+                mask[idx] = True
+                z[bound] = 0.0          # a blocking bound lands on exact zero
+                continue
+
+        # z is the working set's minimizer: certify it or drop a constraint
+        gradient = 2.0 * a.T @ (a @ z - b)
+        fixed = np.flatnonzero(bound)
+        if fixed.size == 0 and rows.size == 0:
+            kkt_residual = float(np.linalg.norm(gradient))
+            if kkt_residual <= KKT_TOL * scale:
+                break
+            raise SolverStallError("zero gradient expected with empty working set")
+        # g = sum_i mu_i e_i - sum_k lambda_k a_k: on the free variables
+        # g_F = -Q1 R lambda, on the bounds mu = g_fixed + A[rows, fixed]^T lambda
+        lam = solve_triangular(r[:rows.size], -(q[:, :rows.size].T @ gradient[free]))
+        multipliers = np.concatenate([gradient[fixed] + a[np.ix_(rows, fixed)].T @ lam, lam])
+        tol = KKT_TOL * max(1.0, float(np.linalg.norm(gradient)))
+        worst = int(np.argmin(multipliers))
+        if multipliers[worst] < -tol:
+            if worst < fixed.size:
+                bound[fixed[worst]] = False
+            else:
+                binding[rows[worst - fixed.size]] = False
+            continue
+        kkt_residual = _kkt_residual(a, gradient, fixed, rows, multipliers)
+        if kkt_residual <= tol:
+            break
+        raise SolverStallError("degenerate working set: no droppable constraint")
     else:
         raise SolverStallError(f"active-set iteration cap {max_iter} reached")
 

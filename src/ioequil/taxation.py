@@ -97,7 +97,7 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
     ratios = 1.0 - delta / big_x
     if float(np.max(np.abs(s - ratios))) > COLUMN_SUM_TOL * max(1.0, float(np.max(ratios))):
         raise BalanceInconsistentError("column sums disagree with 1 - Delta/X beyond tolerance")
-    v0 = balanced_eigenvector(t_value.a.T)
+    v0 = balanced_eigenvector(t_value)
     factor = (v0 / big_x) * ratios
     c0_max = 1.0 / float(np.max(factor))
     return TaxFamily(v0=v0, big_x=big_x, delta=delta, factor=factor, c0_max=c0_max)
@@ -159,7 +159,7 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
         s = _column_sums(t_value)
         if float(np.max(np.abs(s - (1.0 - ratios)))) > COLUMN_SUM_TOL:
             raise BalanceInconsistentError("technology column sums disagree with 1 - ratios")
-        x0 = balanced_eigenvector(t_value.a.T)
+        x0 = balanced_eigenvector(t_value)
         reconstructed_x = (s / (1.0 - pi)) * x0
         final_y = reconstructed_x - t_value.a @ reconstructed_x
     return TaxBoundsReport(True, (lo, hi), witness, reconstructed_x, final_y, tuple(diagnostics))
@@ -190,7 +190,7 @@ def value_added_tax(t_value: Technology) -> ValueAddedTaxSystem:
     if not t_value.indecomposable:
         raise DecomposableError("value-added taxation requires an indecomposable matrix")
     s = _column_sums(t_value)
-    x0 = balanced_eigenvector(t_value.a.T)
+    x0 = balanced_eigenvector(t_value)
     return ValueAddedTaxSystem(pi=1.0 - s, x0=x0, base=(1.0 - s) * x0)
 
 

@@ -30,11 +30,13 @@ from scipy.optimize import nnls
 from ioequil import ConeStatus, Technology
 from ioequil.balance import BALANCE_RESIDUAL_TOL, balance_residual
 from ioequil.core import (
+    PIVOT_RTOL,
     POSITIVE_TOL,
     SPAN_TOL,
     _matrix,
     is_indecomposable,
     matrix_rank,
+    nonsingular_lu,
 )
 from ioequil.errors import (
     DecomposableError,
@@ -43,7 +45,16 @@ from ioequil.errors import (
     ParseError,
     SolverStallError,
 )
-from ioequil.qp import KKT_TOL, STEP_TOL, QPResult, _nearest, _nnls
+from ioequil.qp import (
+    KKT_TOL,
+    SHIFT,
+    STEP_TOL,
+    QPResult,
+    _kkt_residual,
+    _nearest,
+    _nnls,
+    _null_space_step,
+)
 from ioequil.real_economy import DEFAULT_BALANCE_TOL, IOTable, validate_table
 
 
@@ -617,6 +628,168 @@ def solve_min_excess_qr_reference(a: np.ndarray, b: np.ndarray) -> QPResult:
                 continue
             normal_matrix = np.hstack([np.eye(mvar)[:, fixed], -a[rows].T])
             _, kkt_residual = _nnls(normal_matrix, gradient, "stationary-point certificate")
+            if kkt_residual <= tol:
+                break
+            raise SolverStallError("degenerate working set: no droppable constraint")
+
+        # ratio test to the nearest blocking constraint: bounds first, and a
+        # row blocks only when it is nearer by more than 1e-15
+        alpha = 1.0
+        blocking: tuple[np.ndarray, int] | None = None   # (working-set mask, index)
+        falling = np.flatnonzero(direction < -1e-15)
+        limits = z[falling] / -direction[falling]
+        j = _nearest(limits, alpha)
+        if j is not None:
+            alpha, blocking = limits[j], (bound, int(falling[j]))
+        image_step = a @ direction
+        rising = np.flatnonzero((image_step > 1e-15) & ~binding)
+        limits = (b[rising] - (a @ z)[rising]) / image_step[rising]
+        j = _nearest(limits, alpha)
+        if j is not None:
+            alpha, blocking = limits[j], (binding, int(rising[j]))
+        z = z + max(alpha, 0.0) * direction
+        z[z < 0.0] = 0.0
+        if blocking is not None:
+            mask, idx = blocking
+            mask[idx] = True
+            z[bound] = 0.0          # a blocking bound lands on exact zero
+    else:
+        raise SolverStallError(f"active-set iteration cap {max_iter} reached")
+
+    objective = float(np.sum((b - a @ z) ** 2))
+    return QPResult(
+        z=z,
+        objective=objective,
+        kkt_residual=float(kkt_residual),
+        iterations=it + 1,
+        binding_rows=tuple(np.flatnonzero(binding).tolist()),
+        start=start,
+    )
+
+
+# Reference copy of qp.solve_min_excess as it ran before its first loop pass
+# built z on the least-distance working set: the start rebuilt z with its own
+# QR and null-space step, and the loop's first pass factored the same rows
+# again, found a zero step and certified on a pass of its own. It shares the
+# step and certificate helpers of qp, and pins the one-QR-per-pass loop's z,
+# binding rows, start and iterations.
+
+def _least_distance_start_reference(a: np.ndarray, b: np.ndarray, scale: float,
+                                    factors: tuple[np.ndarray, np.ndarray] | None
+                                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str] | None:
+    """(z, bounds, binding rows, start) of the least-distance optimum, or None.
+
+    ``factors`` is ``core.nonsingular_lu(A)``, or None when A is singular or
+    not square. The start is "ldp" on those factors and "shifted" when
+    ``core.nonsingular_lu`` factors A + SHIFT max|A| E instead; the NNLS
+    runs on the factors, the rebuild of z on A. None when A is not square
+    or both factorizations are rejected, when the working rows on the free
+    variables are dependent, or when the rebuilt z is infeasible beyond
+    ``STEP_TOL * scale``; negative dust within it is zeroed.
+    """
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dgetri
+
+    n = b.shape[0]
+    if a.shape != (n, n):
+        return None
+    start = "ldp"
+    if factors is None:
+        factors, start = nonsingular_lu(a + SHIFT * np.max(np.abs(a)) * np.eye(n)), "shifted"
+    if factors is None:
+        return None
+    inverse, _ = dgetri(*factors)
+    # columns of [G^T; h^T] with u = A z - b: z >= 0 reads A^-1 u >= -A^-1 b,
+    # A z <= b reads -u >= 0
+    ldp = np.zeros((n + 1, 2 * n))
+    ldp[:n, :n] = inverse.T
+    ldp[:n, n:] = -np.eye(n)
+    ldp[n, :n] = -(inverse @ b)
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    coefficients, _ = _nnls(ldp, target, "least-distance start")
+    bound = coefficients[:n] > 0.0
+    binding = coefficients[n:] > 0.0
+
+    free, rows = np.flatnonzero(~bound), np.flatnonzero(binding)
+    if rows.size > free.size:
+        return None
+    q, r = np.linalg.qr(a[np.ix_(rows, free)].T, mode="complete")
+    pivots = np.abs(np.diag(r))
+    z = np.zeros(n)
+    if rows.size:
+        if np.min(pivots) <= PIVOT_RTOL * np.max(pivots):
+            return None
+        z[free] = q[:, :rows.size] @ solve_triangular(r[:rows.size], b[rows], trans="T")
+    a_free = a[:, free]
+    z[free] += _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
+    if np.min(z) < -STEP_TOL * scale or np.max(a @ z - b) > STEP_TOL * scale:
+        return None
+    z[z < 0.0] = 0.0
+    return z, bound, binding, start
+
+
+def solve_min_excess_ldp_reference(a: Technology | np.ndarray, b: np.ndarray) -> QPResult:
+    """Solve the bounded least-squares program from the least-distance working set.
+
+    The start (module docstring) is the rebuilt least-distance optimum with
+    its bounds and binding rows, or z = 0 with every bound in the working
+    set. Each iteration factors the working supply rows on the free
+    variables once, A[rows, F]^T = Q R: the trailing columns of Q span the
+    null space the step lives in, and at a stationary point the row
+    multipliers come from R. Where none is negative the same multipliers
+    certify the point. Raises SolverStallError when the iteration cap of
+    100 (n + m + 2) is hit, when the certificate fails (a degenerate working
+    set that cannot be improved) or when the NNLS solve hits its own cap.
+
+    A ``Technology`` supplies the factors of A from its cached ``lu``; an
+    array, which may be rectangular, is factored here when it is square.
+    """
+    from scipy.linalg import solve_triangular
+
+    if isinstance(a, Technology):
+        a, factors = a.a, a.lu
+    else:
+        factors = nonsingular_lu(a) if a.shape[0] == a.shape[1] else None
+    n, mvar = a.shape
+    max_iter = 100 * (n + mvar + 2)
+    scale = max(1.0, float(np.max(np.abs(b))))
+    # working bounds z_i = 0, rows (A z)_k = b_k
+    z, bound, binding, start = _least_distance_start_reference(a, b, scale, factors) or (
+        np.zeros(mvar), np.ones(mvar, dtype=bool), np.zeros(n, dtype=bool), "zero")
+
+    for it in range(max_iter):
+        free = np.flatnonzero(~bound)
+        rows = np.flatnonzero(binding)
+        a_free = a[:, free]
+        # the working normals stay linearly independent (each enters
+        # through the ratio test, off the span of the others), so R is
+        # nonsingular and Q's last columns span the null space
+        q, r = np.linalg.qr(a_free[rows].T, mode="complete")
+        direction = np.zeros(mvar)
+        direction[free] = _null_space_step(a_free, q[:, rows.size:], b - a_free @ z[free])
+
+        if np.max(np.abs(direction)) <= STEP_TOL * scale:
+            gradient = 2.0 * a.T @ (a @ z - b)
+            fixed = np.flatnonzero(bound)
+            if fixed.size == 0 and rows.size == 0:
+                kkt_residual = float(np.linalg.norm(gradient))
+                if kkt_residual <= KKT_TOL * scale:
+                    break
+                raise SolverStallError("zero gradient expected with empty working set")
+            # g = sum_i mu_i e_i - sum_k lambda_k a_k: on the free variables
+            # g_F = -Q1 R lambda, on the bounds mu = g_fixed + A[rows, fixed]^T lambda
+            lam = solve_triangular(r[:rows.size], -(q[:, :rows.size].T @ gradient[free]))
+            multipliers = np.concatenate([gradient[fixed] + a[np.ix_(rows, fixed)].T @ lam, lam])
+            tol = KKT_TOL * max(1.0, float(np.linalg.norm(gradient)))
+            worst = int(np.argmin(multipliers))
+            if multipliers[worst] < -tol:
+                if worst < fixed.size:
+                    bound[fixed[worst]] = False
+                else:
+                    binding[rows[worst - fixed.size]] = False
+                continue
+            kkt_residual = _kkt_residual(a, gradient, fixed, rows, multipliers)
             if kkt_residual <= tol:
                 break
             raise SolverStallError("degenerate working set: no droppable constraint")

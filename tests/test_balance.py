@@ -70,6 +70,26 @@ class TestBalancedEigenvector:
             d = balanced_eigenvector(b1)
             assert np.max(np.abs(d - balanced_eigenvector_reference(b1))) <= 1e-8
 
+    def test_technology_stands_for_its_transpose(self, monkeypatch, rng):
+        # the reference matrices above as the transpose of a Technology's A,
+        # which is how the taxation commands hand it over; the Technology's
+        # cached indecomposability decides, and balance sweeps nothing
+        def no_sweep(m):
+            raise AssertionError("balance matrix swept again")
+
+        cases = [two_block(rng, 40, 16, 1e-3).T, np.eye(3)]
+        for _ in range(60):
+            l = int(rng.integers(1, 31))
+            cases.append(random_indecomposable(rng, l, density=float(rng.uniform(0.1, 1.0))))
+        for b1 in cases:
+            a = np.ascontiguousarray(b1.T)
+            expected = balanced_eigenvector(a.T)
+            with monkeypatch.context() as m:
+                m.setattr(balance, "is_indecomposable", no_sweep)
+                assert balanced_eigenvector(Technology(a)).tobytes() == expected.tobytes()
+        with pytest.raises(DecomposableError, match="no canonical solution"):
+            balanced_eigenvector(Technology([[1.0, 0.0], [1.0, 1.0]]))
+
     def test_residual_above_tolerance_is_numerical(self, monkeypatch):
         # no loop is left, so a bad residual is a numerical failure that
         # states its figures, not an iteration cap

@@ -12,6 +12,7 @@ from conftest import (
     qp_enumeration_oracle,
     random_indecomposable,
     solve_min_excess_cold_reference,
+    solve_min_excess_ldp_reference,
     solve_min_excess_qr_reference,
     two_block,
     value_table_supply,
@@ -31,8 +32,8 @@ def test_worked_partial_clearing_example():
 
 def test_certificate_not_recomputed_after_the_loop(monkeypatch):
     # one NNLS for the least-distance start, whose working set (bound z_2 = 0,
-    # supply row 0) gives z = (10, 0); the loop's first pass finds a zero step
-    # and certifies it with the multipliers from R, without a second NNLS
+    # supply row 0) the loop's first pass factors once: it builds z = (10, 0)
+    # on it and certifies z with the multipliers from R, without a second NNLS
     from ioequil import qp
 
     calls = []
@@ -369,3 +370,111 @@ def test_rank_deficient_table_certifies_from_the_shifted_start(monkeypatch, n, d
     assert result.start == "shifted" and result.iterations == 1
     monkeypatch.setattr(qp, "nonsingular_lu", lambda m: None)
     assert assert_matches_qr_reference(a, b, same_rows=False).start == "zero"
+
+
+def _parity_instance(n, density, deficiency, seed):
+    rng = np.random.default_rng([seed, n, int(10 * density), deficiency])
+    if deficiency:
+        a = dependent_columns(rng, n, deficiency, density)
+    else:
+        a = random_indecomposable(rng, n, density=density)
+    a = column_sums_in_value_units(rng, a)
+    # value-table supply, or a supply off the value table that binds more rows
+    b = value_table_supply(rng, a) if seed % 2 == 0 else rng.uniform(0.3, 3.0, n)
+    return a, b
+
+
+def compare_with_ldp_reference(a, b):
+    """Both results, after checking that they share z bytes, binding rows and start."""
+    result, reference = solve_min_excess(a, b), solve_min_excess_ldp_reference(a, b)
+    assert result.z.tobytes() == reference.z.tobytes()
+    assert (result.binding_rows, result.start) == (reference.binding_rows, reference.start)
+    return result, reference
+
+
+PARITY_FAMILIES = [(n, density, deficiency) for n in (4, 8, 20, 40, 60)
+                   for density in (1.0, 0.3) for deficiency in (0, 1)]
+
+
+@pytest.mark.parametrize("n, density, deficiency", PARITY_FAMILIES)
+def test_one_qr_per_pass_matches_the_ldp_reference(n, density, deficiency):
+    # the reference rebuilt z in its start and certified it on a second QR;
+    # one pass now builds and certifies z on the same QR, to the same bytes
+    for seed in range(6):
+        result, reference = compare_with_ldp_reference(*_parity_instance(n, density, deficiency, seed))
+        assert result.start == ("ldp" if deficiency == 0 else "shifted")
+        assert result.iterations == reference.iterations
+
+
+def test_one_qr_per_pass_matches_the_ldp_reference_on_weakly_coupled_blocks():
+    rng = np.random.default_rng(40)
+    for _ in range(4):
+        a = two_block(rng, 40, 16, 1e-3)
+        result, reference = compare_with_ldp_reference(Technology(a), value_table_supply(rng, a))
+        assert result.iterations == reference.iterations
+
+
+def test_first_pass_zeroes_negative_dust_of_an_exact_fit():
+    # b = A y with zero coordinates in y: the z built on the least-distance
+    # working set carries negative rounding dust, down to -2e-15 on these
+    # tables, and the first pass zeroes it as the reference's start did
+    for seed in range(0, 90, 3):
+        rng = np.random.default_rng([seed, 5])
+        n = int(rng.integers(2, 7))
+        a = rng.uniform(0.0, 1.0, (n, n))
+        a[rng.uniform(size=(n, n)) < 0.3] = 0.0
+        b = a @ np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+        if np.all(b > 0.0):
+            result, _ = compare_with_ldp_reference(a, b)
+            assert np.min(result.z) >= 0.0
+
+
+def test_zero_start_certifies_where_it_steps_to_the_minimizer():
+    # a rectangular A has no least-distance start; a pass whose step is not
+    # blocked now certifies on its own QR instead of on one more pass, so the
+    # path reaches the same z in no more passes, and in fewer in all
+    passes, reference_passes = 0, 0
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 77])
+        n, mvar = rng.choice(np.arange(3, 30), 2, replace=False)
+        a = rng.uniform(0.0, 1.0, (n, mvar))
+        a[rng.uniform(size=(n, mvar)) < 0.4] = 0.0
+        result, reference = compare_with_ldp_reference(a, rng.uniform(0.3, 3.0, n))
+        assert result.start == "zero" and result.iterations <= reference.iterations
+        passes, reference_passes = passes + result.iterations, reference_passes + reference.iterations
+    assert passes < reference_passes
+
+
+def _worked_example():
+    return np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([1.0, 3.0])
+
+
+def _sixty_sectors():
+    rng = np.random.default_rng(60)
+    a = REFERENCE_INSTANCES["dense n=60"](rng)
+    return a, value_table_supply(rng, a)
+
+
+@pytest.mark.parametrize("make", [_worked_example, _sixty_sectors], ids=["worked example", "n=60"])
+def test_least_distance_solve_factors_its_working_set_once(monkeypatch, make):
+    # the least-distance working set is optimal here: one QR of its rows and
+    # one null-space step build z, and the multipliers from the same R certify it
+    from ioequil import qp
+
+    a, b = make()
+    counts = {"qr": 0, "step": 0}
+    qr, step = np.linalg.qr, qp._null_space_step
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_step(*args, **kwargs):
+        counts["step"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(qp, "_null_space_step", counted_step)
+    result = solve_min_excess(a, b)
+    assert (result.start, result.iterations) == ("ldp", 1)
+    assert counts == {"qr": 1, "step": 1}
