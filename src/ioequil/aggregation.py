@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Technology, _vector
-from .errors import BalanceViolationError, NotProductiveError, ParseError
+from .errors import HypothesisViolatedError, ParseError
 
 AGGREGATION_TOL = 1e-10
 
@@ -75,8 +75,7 @@ class AggregationMap:
     def indicator(self) -> np.ndarray:
         """n x m grouping indicator S with S[k, l] = 1 iff l maps to k."""
         s = np.zeros((self.n, self.m))
-        for l, k in enumerate(self.assignment):
-            s[k, l] = 1.0
+        s[self.assignment, np.arange(self.m)] = 1.0
         return s
 
 
@@ -132,7 +131,7 @@ def aggregate(fine: Technology, p, x, amap: AggregationMap) -> AggregatedTable:
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.any(c < -AGGREGATION_TOL * scale):
         worst = int(np.argmin(c))
-        raise BalanceViolationError(
+        raise HypothesisViolatedError(
             f"fine final consumption is negative in sector {worst} ({c[worst]:.3e})"
         )
 
@@ -143,13 +142,13 @@ def aggregate(fine: Technology, p, x, amap: AggregationMap) -> AggregatedTable:
     vscale = max(1.0, float(np.max(big_x)))
     row_gap = np.max(np.abs(big_x - a_bar @ big_x - consumption))
     if row_gap > AGGREGATION_TOL * vscale:
-        raise BalanceViolationError(f"row balance X - A X = C fails by {row_gap:.3e}")
+        raise HypothesisViolatedError(f"row balance X - A X = C fails by {row_gap:.3e}")
     col_gap = np.max(np.abs(big_x - a_bar.sum(axis=0) * big_x - delta))
     if col_gap > AGGREGATION_TOL * vscale:
-        raise BalanceViolationError(f"column balance X - (col sums) X = Delta fails by {col_gap:.3e}")
+        raise HypothesisViolatedError(f"column balance X - (col sums) X = Delta fails by {col_gap:.3e}")
     total_gap = abs(float(np.sum(consumption) - np.sum(delta)))
     if total_gap > AGGREGATION_TOL * vscale:
-        raise BalanceViolationError(f"total balance sum C = sum Delta fails by {total_gap:.3e}")
+        raise HypothesisViolatedError(f"total balance sum C = sum Delta fails by {total_gap:.3e}")
     return AggregatedTable(a_bar=a_bar, big_x=big_x, consumption=consumption, delta=delta)
 
 
@@ -200,7 +199,7 @@ def relative_prices(table: AggregatedTable, delta_hat) -> np.ndarray:
     if np.any(delta_hat <= 0.0):
         raise ValueError("delta_hat must be strictly positive")
     if not table.technology.productive:
-        raise NotProductiveError("aggregated matrix is not productive")
+        raise HypothesisViolatedError("aggregated matrix is not productive")
     return np.linalg.solve(np.eye(table.n) - table.a_bar.T, delta_hat)
 
 

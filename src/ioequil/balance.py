@@ -30,7 +30,6 @@ from .errors import (
     NotInConeError,
     NotInteriorError,
     NumericalError,
-    ZeroImageError,
 )
 from .qp import _nnls
 
@@ -299,7 +298,7 @@ def support_partition(t: Technology, b, y) -> SupportPartition:
         raise ValueError("direction vector must be non-negative")
     image = t.a @ y
     if not np.any(image > 0.0):
-        raise ZeroImageError("A @ y vanishes; no scale exists")
+        raise HypothesisViolatedError("A @ y vanishes; no scale exists")
     ratios = np.where(image > 0.0, b / np.where(image > 0.0, image, 1.0), np.inf)
     a = float(np.min(ratios))
     binding = tuple(int(i) for i in np.flatnonzero(ratios <= a * (1.0 + 1e-12)))

@@ -47,7 +47,6 @@ from .errors import (
     HypothesisViolatedError,
     NoConvergenceError,
     NotInteriorError,
-    NotProductiveError,
 )
 
 # Numerical policy: one documented constant per decision.
@@ -324,7 +323,7 @@ def leontief_solve(t: Technology, c) -> np.ndarray:
     if np.any(c < 0):
         raise ValueError("final consumption must be non-negative")
     if not t.productive:
-        raise NotProductiveError("technology is not productive; Leontief solve undefined")
+        raise HypothesisViolatedError("technology is not productive; Leontief solve undefined")
     return np.linalg.solve(np.eye(t.n) - t.a, c)
 
 

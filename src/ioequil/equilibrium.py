@@ -27,7 +27,6 @@ from .errors import (
     PipelineError,
     SupportViolationError,
     ZeroColumnError,
-    ZeroValueError,
 )
 from .sustainability import clearing_residual
 
@@ -72,14 +71,11 @@ def min_ratios(t: Technology, b) -> np.ndarray:
         raise ValueError("supply vector length does not match sector count")
     if np.any(b <= 0.0):
         raise ValueError("supply vector must be strictly positive")
-    d = np.empty(t.n)
-    for i in range(t.n):
-        col = t.a[:, i]
-        positive = col > 0.0
-        if not np.any(positive):
-            raise ZeroColumnError(f"column {i} of the direct-cost matrix is zero")
-        d[i] = float(np.min(b[positive] / col[positive]))
-    return d
+    positive = t.a > 0.0
+    zero = np.flatnonzero(~positive.any(axis=0))
+    if zero.size:
+        raise ZeroColumnError(f"column {zero[0]} of the direct-cost matrix is zero")
+    return np.divide(b[:, None], t.a, out=np.full(t.a.shape, np.inf), where=positive).min(axis=0)
 
 
 def solution_from_alpha(t: Technology, b, alpha) -> AlphaPoint:
@@ -262,7 +258,7 @@ def excess_supply(b, b_bar, p_u) -> float:
         raise ValueError("real consumption exceeds supply")
     total = float(b @ p_u)
     if total <= 0.0:
-        raise ZeroValueError("the value of supply <b, p_u> vanishes")
+        raise HypothesisViolatedError("the value of supply <b, p_u> vanishes")
     level = float((b - b_bar) @ p_u) / total
     return max(level, 0.0)
 

@@ -1,9 +1,16 @@
 """Exception hierarchy for ioequil.
 
-Three intent groups matter to callers (the CLI maps them to exit codes):
-input errors (bad files, unbalanced tables), analysis errors (model
-hypotheses violated by the data), and numerical errors (an algorithm
-failed to reach its tolerance).
+Every error descends from one of three roots, one per CLI exit class:
+
+- input: ``ParseError`` (malformed files or arguments) and ``BalanceError``
+  (a loaded table breaks an accounting identity), exit 2;
+- hypothesis: ``HypothesisViolatedError`` (the data violate a model
+  hypothesis the operation needs), exit 1;
+- numerical: ``NumericalError`` (an algorithm failed to reach its
+  tolerance), exit 3.
+
+``PipelineError`` wraps a component error with its stage and takes the
+class of its cause.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ class ModelError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- input / parsing -------------------------------------------------------
+# --- input ----------------------------------------------------------------
 
 class ParseError(ModelError):
     """Malformed tabular input."""
@@ -23,13 +30,13 @@ class BalanceError(ModelError):
     """An accounting identity of a loaded table fails beyond tolerance."""
 
 
-# --- analysis preconditions ------------------------------------------------
+# --- model hypotheses -----------------------------------------------------
 
-class NotProductiveError(ModelError):
-    """The Leontief solve ``(E - A) x = 1`` gives no positive x below ``1 / POSITIVE_TOL``."""
+class HypothesisViolatedError(ModelError):
+    """A mathematical hypothesis needed by the operation does not hold."""
 
 
-class DecomposableError(ModelError):
+class DecomposableError(HypothesisViolatedError):
     """Matrix support graph is not strongly connected."""
 
 
@@ -37,15 +44,15 @@ class DecomposableMinorError(DecomposableError):
     """Principal minor on the binding set is decomposable."""
 
 
-class DegenerateGeneratorsError(ModelError):
+class DegenerateGeneratorsError(HypothesisViolatedError):
     """Generator set is linearly dependent."""
 
 
-class NotInteriorError(ModelError):
+class NotInteriorError(HypothesisViolatedError):
     """No admissible column subset places the target inside its cone."""
 
 
-class NotInConeError(ModelError):
+class NotInConeError(HypothesisViolatedError):
     """A supply column lies outside the demand cone."""
 
     def __init__(self, column: int, message: str | None = None):
@@ -53,52 +60,20 @@ class NotInConeError(ModelError):
         super().__init__(message or f"column {column} lies outside the demand cone")
 
 
-class HypothesisViolatedError(ModelError):
-    """A mathematical hypothesis needed by the operation does not hold."""
-
-
 class SupportViolationError(HypothesisViolatedError):
     """A solution restricted to the binding set cannot carry support prices."""
 
 
-class ZeroImageError(ModelError):
-    """A @ y vanishes, no scale can be extracted."""
-
-
-class ZeroColumnError(ModelError):
+class ZeroColumnError(HypothesisViolatedError):
     """A direct-cost column is identically zero."""
 
 
-class ZeroDenominatorError(ModelError):
-    """An input-cost denominator vanishes on a supported sector."""
-
-
-class ZeroValueError(ModelError):
-    """The value of supply <b, p> vanishes."""
-
-
-class ZeroBaseError(ModelError):
-    """Least-squares base vector is zero."""
-
-
-class ZeroValueAddedError(ModelError):
+class ZeroValueAddedError(HypothesisViolatedError):
     """A sector has non-positive gross value added; ``sector`` is its 0-based index."""
 
     def __init__(self, sector: int, message: str):
         self.sector = sector
         super().__init__(message)
-
-
-class BalanceInconsistentError(ModelError):
-    """Value-unit column sums disagree with 1 - Delta/X."""
-
-
-class ColumnSumViolationError(ModelError):
-    """A value-unit column sum is not in (0, 1)."""
-
-
-class BalanceViolationError(ModelError):
-    """An aggregation identity fails beyond tolerance."""
 
 
 # --- numerical failures ----------------------------------------------------

@@ -19,12 +19,7 @@ from .core import (
     matrix_rank,
     perron_vector,
 )
-from .errors import (
-    DecomposableError,
-    HypothesisViolatedError,
-    NotProductiveError,
-    ZeroDenominatorError,
-)
+from .errors import DecomposableError, HypothesisViolatedError
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     if np.any(x <= 0.0):
         raise ValueError("gross output must be strictly positive")
     if not t.productive:
-        raise NotProductiveError("sustainability test requires a productive matrix")
+        raise HypothesisViolatedError("sustainability test requires a productive matrix")
     if not t.indecomposable:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
@@ -133,7 +128,7 @@ def clearing_residual(t: Technology, x, p) -> np.ndarray:
     """Residual of sum_i a_ki x_i p_i / <A_i, p> = x_k at prices p.
 
     Sectors with x_i p_i = 0 drop out of the sum; a vanishing input cost
-    under a nonzero term raises ZeroDenominatorError.
+    under a nonzero term raises HypothesisViolatedError.
     """
     x = _vector(x, "gross output")
     p = _vector(p, "price vector")
@@ -146,7 +141,7 @@ def clearing_residual(t: Technology, x, p) -> np.ndarray:
     live = value != 0.0
     vanishing = np.flatnonzero(live & (denom <= 0.0))
     if vanishing.size:
-        raise ZeroDenominatorError(f"input cost of sector {vanishing[0]} vanishes at these prices")
+        raise HypothesisViolatedError(f"input cost of sector {vanishing[0]} vanishes at these prices")
     terms = np.zeros(t.n)
     terms[live] = value[live] / denom[live]
     return t.a @ terms - x

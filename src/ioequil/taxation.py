@@ -15,13 +15,7 @@ import numpy as np
 
 from .balance import balanced_eigenvector
 from .core import Technology, _vector
-from .errors import (
-    BalanceInconsistentError,
-    ColumnSumViolationError,
-    DecomposableError,
-    ZeroBaseError,
-    ZeroValueAddedError,
-)
+from .errors import DecomposableError, HypothesisViolatedError, ZeroValueAddedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .real_economy import IOTable
@@ -33,7 +27,7 @@ COLUMN_SUM_TOL = 1e-6
 def _column_sums(t_value: Technology) -> np.ndarray:
     s = t_value.a.sum(axis=0)
     if np.any(s <= 0.0) or np.any(s >= 1.0):
-        raise ColumnSumViolationError("value-unit column sums must lie strictly inside (0, 1)")
+        raise HypothesisViolatedError("value-unit column sums must lie strictly inside (0, 1)")
     return s
 
 
@@ -96,7 +90,7 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
     s = _column_sums(t_value)
     ratios = 1.0 - delta / big_x
     if float(np.max(np.abs(s - ratios))) > COLUMN_SUM_TOL * max(1.0, float(np.max(ratios))):
-        raise BalanceInconsistentError("column sums disagree with 1 - Delta/X beyond tolerance")
+        raise HypothesisViolatedError("column sums disagree with 1 - Delta/X beyond tolerance")
     v0 = balanced_eigenvector(t_value)
     factor = (v0 / big_x) * ratios
     c0_max = 1.0 / float(np.max(factor))
@@ -158,7 +152,7 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
     if t_value is not None:
         s = _column_sums(t_value)
         if float(np.max(np.abs(s - (1.0 - ratios)))) > COLUMN_SUM_TOL:
-            raise BalanceInconsistentError("technology column sums disagree with 1 - ratios")
+            raise HypothesisViolatedError("technology column sums disagree with 1 - ratios")
         x0 = balanced_eigenvector(t_value)
         reconstructed_x = (s / (1.0 - pi)) * x0
         final_y = reconstructed_x - t_value.a @ reconstructed_x
@@ -202,7 +196,7 @@ def fit_scale(y_real, base) -> float:
         raise ValueError("vectors must have matching lengths")
     denom = float(base @ base)
     if denom <= 0.0:
-        raise ZeroBaseError("base vector is zero")
+        raise HypothesisViolatedError("base vector is zero")
     return float(y_real @ base) / denom
 
 
@@ -212,7 +206,8 @@ def real_tax_vector(table: "IOTable") -> np.ndarray:
     A sector with non-positive value added raises ZeroValueAddedError naming it.
     """
     delta = table.delta
-    for i, value in enumerate(delta):
-        if value <= 0.0:
-            raise ZeroValueAddedError(i, f"sector {table.names[i]!r} has non-positive value added")
+    bad = np.flatnonzero(delta <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ZeroValueAddedError(i, f"sector {table.names[i]!r} has non-positive value added")
     return table.t1 / delta

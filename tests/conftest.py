@@ -44,6 +44,8 @@ from ioequil.errors import (
     NoConvergenceError,
     ParseError,
     SolverStallError,
+    ZeroColumnError,
+    ZeroValueAddedError,
 )
 from ioequil.qp import (
     KKT_TOL,
@@ -892,6 +894,39 @@ def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -
     )
     validate_table(table, balance_tol)
     return table
+
+
+# Per-sector loops as the library first wrote them; each now runs as one
+# numpy pass that must return the same bits and raise the same messages.
+
+def min_ratios_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d_i = min over rows k with a_ki > 0 of b_k / a_ki, one column at a time."""
+    n = a.shape[0]
+    d = np.empty(n)
+    for i in range(n):
+        col = a[:, i]
+        positive = col > 0.0
+        if not np.any(positive):
+            raise ZeroColumnError(f"column {i} of the direct-cost matrix is zero")
+        d[i] = float(np.min(b[positive] / col[positive]))
+    return d
+
+
+def real_tax_vector_reference(table) -> np.ndarray:
+    """T1 / Delta after checking Delta one sector at a time."""
+    delta = table.delta
+    for i, value in enumerate(delta):
+        if value <= 0.0:
+            raise ZeroValueAddedError(i, f"sector {table.names[i]!r} has non-positive value added")
+    return table.t1 / delta
+
+
+def indicator_reference(amap) -> np.ndarray:
+    """n x m grouping indicator filled one fine sector at a time."""
+    s = np.zeros((amap.n, amap.m))
+    for l, k in enumerate(amap.assignment):
+        s[k, l] = 1.0
+    return s
 
 
 def canonical_json_reference(value) -> str:

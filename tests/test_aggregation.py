@@ -11,9 +11,9 @@ from ioequil import (
     relative_prices,
     scaling_identity_check,
 )
-from ioequil.errors import BalanceViolationError, ParseError
+from ioequil.errors import HypothesisViolatedError, ParseError
 
-from conftest import data_path, random_productive
+from conftest import data_path, indicator_reference, random_productive
 
 FINE3 = Technology([[0.1, 0.1, 0.2], [0.1, 0.1, 0.2], [0.2, 0.2, 0.1]])
 MAP32 = AggregationMap(m=3, n=2, assignment=(0, 0, 1))
@@ -75,9 +75,15 @@ class TestAggregate:
         x = np.array([1.0, 1.0])    # x - A x = (0.1, 0.1) fine; force negative via x
         x_bad = np.array([1.0, 10.0])
         assert np.min(x_bad - t.a @ x_bad) < 0
-        with pytest.raises(BalanceViolationError):
+        with pytest.raises(HypothesisViolatedError, match=r"fine final consumption is negative in sector 0"):
             aggregate(Technology(t.a), np.ones(2), x_bad,
                       AggregationMap(m=2, n=2, assignment=(0, 1)))
+
+    def test_indicator_matches_the_sector_loop(self, rng):
+        for _ in range(100):
+            m = int(rng.integers(1, 60))
+            amap = random_map(rng, m, int(rng.integers(1, m + 1)))
+            assert amap.indicator().tobytes() == indicator_reference(amap).tobytes()
 
 
 class TestScalingIdentities:

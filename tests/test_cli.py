@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ioequil
-from ioequil import cli, load_table, loads_table, tax_family
+from ioequil import cli, errors, load_table, loads_table, tax_family
 from ioequil.cli import main
 from ioequil.real_economy import IOTable, analyze, dumps_table
 from ioequil.reporting import validate_report
@@ -664,6 +664,49 @@ class TestHypothesisFailures:
         for mode in ("best", "bounds", "value-added"):
             assert main(["tax", str(coarse), mode]) == 0
         assert capsys.readouterr().err == ""
+
+
+# exit code of each root of the error hierarchy: input, model hypothesis, numerical
+ERROR_ROOTS = {
+    errors.ParseError: 2,
+    errors.BalanceError: 2,
+    errors.HypothesisViolatedError: 1,
+    errors.NumericalError: 3,
+}
+
+
+class TestErrorRoots:
+    def test_every_error_descends_from_exactly_one_root(self):
+        # ModelError is the common base; PipelineError takes the class of its cause
+        classes = [value for value in vars(errors).values()
+                   if isinstance(value, type) and value.__module__ == errors.__name__]
+        assert len(classes) > len(ERROR_ROOTS)
+        for cls in classes:
+            if cls in (errors.ModelError, errors.PipelineError):
+                continue
+            assert sum(issubclass(cls, root) for root in ERROR_ROOTS) == 1, cls.__name__
+
+    @pytest.mark.parametrize("root, command, text", [
+        (errors.ParseError, "check", "not,a,table\n"),
+        (errors.HypothesisViolatedError, "sustainable", ISOLATED_SECTOR_CSV),
+        (errors.NumericalError, "check", None),
+    ], ids=["input", "hypothesis", "numerical"])
+    def test_exit_code_and_one_error_line(self, capsys, monkeypatch, tmp_path, equal_radius,
+                                          root, command, text):
+        from ioequil import core
+
+        path = tmp_path / "table.csv"
+        if text is None:
+            # the radius bracket of equal_radius is still open after the power steps
+            monkeypatch.setattr(core, "NODA_STEPS", 0)
+            path = equal_radius
+        else:
+            path.write_text(text)
+        assert main([command, str(path)]) == ERROR_ROOTS[root]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 @pytest.fixture(scope="module")

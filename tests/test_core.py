@@ -18,7 +18,6 @@ from ioequil.errors import (
     HypothesisViolatedError,
     NoConvergenceError,
     NotInteriorError,
-    NotProductiveError,
 )
 
 from conftest import (
@@ -442,7 +441,7 @@ class TestLeontief:
         assert np.allclose(leontief_solve(t, [3.0, 7.0]), [3.0, 7.0])
 
     def test_not_productive_raises(self):
-        with pytest.raises(NotProductiveError):
+        with pytest.raises(HypothesisViolatedError, match=r"technology is not productive; Leontief solve undefined"):
             leontief_solve(Technology([[1.0]]), [1.0])
 
     def test_positive_output_for_positive_demand(self, rng):

@@ -23,10 +23,15 @@ from ioequil.errors import (
     PipelineError,
     SupportViolationError,
     ZeroColumnError,
-    ZeroValueError,
 )
 
-from conftest import price_map, qp_enumeration_oracle, random_indecomposable, random_simplex
+from conftest import (
+    min_ratios_reference,
+    price_map,
+    qp_enumeration_oracle,
+    random_indecomposable,
+    random_simplex,
+)
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -69,6 +74,25 @@ class TestMinRatios:
     def test_zero_column(self):
         with pytest.raises(ZeroColumnError):
             min_ratios(Technology([[0.5, 0.0], [0.5, 0.0]]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_matches_the_column_loop(self, rng, density):
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            a = random_indecomposable(rng, n, density=density)
+            b = rng.uniform(0.3, 2.0, n)
+            assert min_ratios(Technology(a), b).tobytes() == min_ratios_reference(a, b).tobytes()
+
+    def test_first_zero_column_named_as_by_the_loop(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 20))
+            a = random_indecomposable(rng, n, density=0.3)
+            a[:, rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = 0.0
+            b = rng.uniform(0.3, 2.0, n)
+            with pytest.raises(ZeroColumnError) as expected:
+                min_ratios_reference(a, b)
+            with pytest.raises(ZeroColumnError, match=f"^{re.escape(str(expected.value))}$"):
+                min_ratios(Technology(a), b)
 
 
 class TestSolutionFromAlpha:
@@ -287,7 +311,7 @@ class TestExcessSupply:
         assert level == 0.0
 
     def test_zero_value(self):
-        with pytest.raises(ZeroValueError):
+        with pytest.raises(HypothesisViolatedError, match=r"the value of supply <b, p_u> vanishes"):
             excess_supply([1.0, 1.0], [0.5, 0.5], [0.0, 0.0])
 
     def test_monotone_as_consumption_approaches_supply(self):

@@ -3,7 +3,7 @@ import pytest
 
 from ioequil import Technology, check_sustainable, clearing_residual, load_table
 from ioequil.core import matrix_rank, nonsingular_lu, perron_vector
-from ioequil.errors import HypothesisViolatedError, NotProductiveError, ZeroDenominatorError
+from ioequil.errors import HypothesisViolatedError
 from ioequil.qp import solve_min_excess
 
 from conftest import (
@@ -79,7 +79,7 @@ class TestCheckSustainable:
             assert np.max(np.abs(ratio - oracle)) < 1e-8
 
     def test_not_productive_rejected(self):
-        with pytest.raises(NotProductiveError):
+        with pytest.raises(HypothesisViolatedError, match=r"sustainability test requires a productive matrix"):
             check_sustainable(Technology([[0.5, 0.6], [0.6, 0.5]]), [1.0, 1.0])
 
     def test_singular_matrix_stabilizes(self, rng):
@@ -274,7 +274,7 @@ class TestClearingResidual:
 
     def test_zero_denominator(self):
         t = Technology([[0.0, 0.5], [0.0, 0.5]])
-        with pytest.raises(ZeroDenominatorError, match="sector 0"):
+        with pytest.raises(HypothesisViolatedError, match=r"input cost of sector 0 vanishes at these prices"):
             clearing_residual(t, [1.0, 1.0], [1.0, 0.0])
 
     def test_zero_terms_drop_out(self, rng):
@@ -290,7 +290,7 @@ class TestClearingResidual:
             denom = a.T @ p
             live = x * p != 0.0
             if np.any(live & (denom <= 0.0)):
-                with pytest.raises(ZeroDenominatorError):
+                with pytest.raises(HypothesisViolatedError, match=r"input cost of sector \d+ vanishes at these prices"):
                     clearing_residual(Technology(a), x, p)
                 continue
             terms = np.zeros(n)

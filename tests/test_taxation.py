@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,9 @@ from ioequil import (
     taxed_clearing_residual,
     value_added_tax,
 )
-from ioequil.errors import BalanceInconsistentError, ZeroBaseError, ZeroValueAddedError
+from ioequil.errors import HypothesisViolatedError, ZeroValueAddedError
 
-from conftest import data_path, random_indecomposable
+from conftest import data_path, random_indecomposable, real_tax_vector_reference, seeded_table
 
 SYM_VALUE = Technology([[0.2, 0.3], [0.3, 0.2]])
 
@@ -67,7 +70,7 @@ class TestTaxFamily:
             assert np.all(best >= 0.0) and np.all(best < 1.0)
 
     def test_inconsistent_balance_rejected(self):
-        with pytest.raises(BalanceInconsistentError):
+        with pytest.raises(HypothesisViolatedError, match=r"column sums disagree with 1 - Delta/X beyond tolerance"):
             tax_family(SYM_VALUE, [1.0, 1.0], [0.3, 0.3])
 
 
@@ -190,7 +193,7 @@ class TestFitScale:
         assert fit_scale([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_zero_base(self):
-        with pytest.raises(ZeroBaseError):
+        with pytest.raises(HypothesisViolatedError, match=r"base vector is zero"):
             fit_scale([1.0, 1.0], [0.0, 0.0])
 
 
@@ -233,3 +236,22 @@ class TestRealTaxVector:
         assert np.allclose(pi0, [1.0, 0.5])
         with pytest.raises(ValueError):
             tax_bounds(pi0, [0.5, 0.5])
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_matches_the_sector_loop(self, rng, density):
+        for _ in range(50):
+            table = seeded_table(rng, int(rng.integers(2, 40)), density)
+            assert real_tax_vector(table).tobytes() == real_tax_vector_reference(table).tobytes()
+
+    def test_first_non_positive_sector_named_as_by_the_loop(self, rng):
+        for _ in range(50):
+            table = seeded_table(rng, int(rng.integers(2, 20)), 0.3)
+            z1 = table.z1.copy()
+            bad = rng.choice(table.n, int(rng.integers(1, table.n + 1)), replace=False)
+            z1[bad] = -table.t1[bad] * rng.choice([1.0, 2.0], bad.size)   # Delta = 0 or < 0
+            table = dataclasses.replace(table, z1=z1)
+            with pytest.raises(ZeroValueAddedError) as expected:
+                real_tax_vector_reference(table)
+            with pytest.raises(ZeroValueAddedError, match=f"^{re.escape(str(expected.value))}$") as err:
+                real_tax_vector(table)
+            assert err.value.sector == expected.value.sector
