@@ -20,8 +20,12 @@ of independent columns come from one least-squares solve
 and a separate max-norm residual test decides span membership.
 
 Fixed-point policy: a Perron vector whose multiplier is known to be one
-(prices, certificate prices, balanced weights) is one verified LU solve,
-``perron_vector``, with exact zeros on zero rows and no iteration cap.
+is one verified LU solve, ``perron_vector``, with exact zeros on zero rows
+and no iteration cap. It has two callers. ``sustainability.consumption_prices``
+is the one price map p_i = (z_i / ell_i) <A_i, p>: support prices on the
+binding minor with ell = b, generalized prices with ell = A z, certificate
+prices with z = b1 and ell = A b1. ``balance.balanced_eigenvector`` gives
+the balanced weights.
 Productivity needs no eigenvalue: ``is_productive`` decides from one solve
 of ``(E - A) x = 1``. Only the spectral radius that ``check`` reports,
 whose root is unknown, iterates, and it certifies its answer: for p > 0

@@ -12,23 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .core import (
-    POSITIVE_TOL,
-    Technology,
-    _vector,
-    is_indecomposable,
-    perron_vector,
-)
+from .balance import support_partition
+from .core import POSITIVE_TOL, Technology, _vector, is_indecomposable
 from .errors import (
     DecomposableError,
     DecomposableMinorError,
     HypothesisViolatedError,
     ModelError,
+    NumericalError,
     PipelineError,
     SupportViolationError,
     ZeroColumnError,
 )
-from .sustainability import clearing_residual
+from .sustainability import clearing_terms, consumption_prices
 
 BINDING_TOL = 1e-8          # |b_i - (A z)_i| <= BINDING_TOL * max(1, b_i)
 CLEARING_TOL = 1e-8
@@ -91,14 +87,8 @@ def solution_from_alpha(t: Technology, b, alpha) -> AlphaPoint:
     if np.any(alpha < -1e-12) or abs(float(np.sum(alpha)) - 1.0) > 1e-9:
         raise ValueError("alpha must be non-negative and sum to one")
     alpha = np.maximum(alpha, 0.0)
-    d = min_ratios(t, b)
-    weighted = alpha * d
-    denom = t.a @ weighted
-    positive = denom > 0.0
-    if not np.any(positive):
-        raise ZeroColumnError("A (alpha * d) vanishes; alpha has no support on the economy")
-    scale = float(np.min(b[positive] / denom[positive]))
-    return AlphaPoint(alpha=alpha, scale=scale, z=scale * weighted)
+    part = support_partition(t, b, alpha * min_ratios(t, b))
+    return AlphaPoint(alpha=alpha, scale=part.scale, z=part.z)
 
 
 def alpha_objective(t: Technology, b, alpha) -> float:
@@ -124,7 +114,7 @@ def min_excess_qp(t: Technology, b) -> np.ndarray:
     result = qp.solve_min_excess(t, b)
     z = result.z
     if np.min(z) < -1e-12 or float(np.max(t.a @ z - b)) > 1e-9 * max(1.0, float(np.max(b))):
-        raise HypothesisViolatedError("active-set result violates feasibility")
+        raise NumericalError("active-set result violates feasibility")
     return z
 
 
@@ -184,10 +174,8 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     if not is_indecomposable(minor):
         raise DecomposableMinorError("binding-set minor is decomposable")
 
-    y = z[idx] / b[idx]
-    p_block = perron_vector(y[:, None] * minor.T, "support prices")
     p = np.zeros(t.n)
-    p[idx] = p_block
+    p[idx] = consumption_prices(minor, z[idx], b[idx], "support prices")
     return p
 
 
@@ -207,21 +195,18 @@ def prices_from_consumption(t: Technology, z) -> np.ndarray:
     supported = z > 0.0
     if np.any(b_bar[supported] <= 0.0):
         raise HypothesisViolatedError("real consumption vanishes on a supported sector")
-    weights = np.where(supported, z / np.where(b_bar > 0.0, b_bar, 1.0), 0.0)
-    p = perron_vector(weights[:, None] * t.a.T, "consumption prices")
-    # reconstruction and clearing checks; |p_i - w_i (A^T p)_i| <= MULTIPLIER_TOL
-    # max p, so a vanishing input cost (A^T p)_i fails the price test
-    denom = t.a.T @ p
+    p = consumption_prices(t.a, z, b_bar, "consumption prices")
+    # reconstruction and clearing checks on one terms vector; |p_i - w_i (A^T p)_i|
+    # <= MULTIPLIER_TOL max p, so a vanishing input cost (A^T p)_i fails the price test
     vanishing = np.flatnonzero(supported & (p <= POSITIVE_TOL * np.max(p)))
     if vanishing.size:
         raise HypothesisViolatedError(f"price vanishes on supported sector {vanishing[0]}")
-    live = denom > 0.0
-    recon_gap = float(np.max(np.abs(b_bar[live] * p[live] / denom[live] - z[live])))
-    if recon_gap > CLEARING_TOL * max(1.0, float(np.max(np.abs(z)))):
-        raise HypothesisViolatedError("price reconstruction of z failed beyond tolerance")
-    residual = clearing_residual(t, b_bar, p)
+    terms = clearing_terms(b_bar * p, t.a.T @ p)
+    if float(np.max(np.abs(terms - z))) > CLEARING_TOL * max(1.0, float(np.max(np.abs(z)))):
+        raise NumericalError("price reconstruction of z failed beyond tolerance")
+    residual = t.a @ terms - b_bar
     if float(np.max(np.abs(residual))) > CLEARING_TOL * max(1.0, float(np.max(np.abs(b_bar)))):
-        raise HypothesisViolatedError("consumption clearing equations fail at the fixed point")
+        raise NumericalError("consumption clearing equations fail at the fixed point")
     return p
 
 

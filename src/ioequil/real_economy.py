@@ -26,12 +26,12 @@ import numpy as np
 
 from . import taxation
 from .core import Technology
-from .equilibrium import EquilibriumState, assemble_equilibrium
-from .errors import BalanceError, ParseError
-from .taxation import TaxBoundsReport, tax_bounds, taxed_clearing_residual
+from .equilibrium import CLEARING_TOL, EquilibriumState, assemble_equilibrium
+from .errors import BalanceError, HypothesisViolatedError, ParseError, PipelineError
+from .sustainability import clearing_terms
+from .taxation import TaxBoundsReport, tax_bounds
 
 DEFAULT_BALANCE_TOL = 1e-6    # relative; statistical tables carry rounding noise
-SUSTAINABLE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,26 +276,33 @@ class RealEconomyReport:
 def analyze(table: IOTable) -> RealEconomyReport:
     """Full existing-taxation workflow on a value table.
 
-    Computes the observed taxation vector, tests the exact sustainability
-    equalities at unit prices, and when they fail assembles the
-    minimum-excess equilibrium over the after-tax supply psi = (1 - pi0) * X;
-    the taxation bounds test runs either way.
+    Computes the observed taxation vector and the after-tax supply
+    psi = (1 - pi0) * X, tests the clearing equation at unit prices with
+    x = psi (input costs are the column sums s, the terms z = psi / s),
+    and when it fails assembles the minimum-excess equilibrium over psi;
+    the taxation bounds test runs either way. A sector with supply and a
+    zero column fails the unit-price test at stage "unit-price-clearing".
     """
     pi0 = taxation.real_tax_vector(table)
-    if np.any(pi0 >= 1.0) or np.any(pi0 < 0.0):
-        raise BalanceError("observed taxation T1/Delta must lie in [0, 1)")
+    outside = np.flatnonzero((pi0 >= 1.0) | (pi0 < 0.0))
+    if outside.size:
+        raise HypothesisViolatedError(
+            f"observed taxation T1/Delta of sector {table.names[outside[0]]!r} must lie in [0, 1)"
+        )
 
     tech = table.technology
     big_x = table.big_x
-    column_margins = 1.0 - tech.a.sum(axis=0)
-    residual = taxed_clearing_residual(tech, big_x, pi0)
-    rel_residual = float(np.max(np.abs(residual))) / max(1.0, float(np.max(big_x)))
-    sustainable = bool(rel_residual <= SUSTAINABLE_TOL and np.all(column_margins > 0.0))
-
+    s = tech.a.sum(axis=0)
     psi = (1.0 - pi0) * big_x
+    try:
+        z = clearing_terms(psi, s)
+    except HypothesisViolatedError as exc:
+        raise PipelineError("unit-price-clearing", exc) from exc
+    residual = tech.a @ z - psi
+    rel_residual = float(np.max(np.abs(residual))) / max(1.0, float(np.max(big_x)))
+    sustainable = bool(rel_residual <= CLEARING_TOL and np.all(s < 1.0))
+
     if sustainable:
-        s = tech.a.sum(axis=0)
-        z = psi / s
         n = table.n
         p = np.full(n, 1.0 / n)
         state = EquilibriumState(

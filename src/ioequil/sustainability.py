@@ -101,7 +101,10 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
         return SustainabilityVerdict(False, None, None, None, None)
 
     alpha = (np.eye(t.n) - t.a) @ b1
-    prices = _certificate_prices(t.a, b1)
+    image = t.a @ b1
+    if np.any(image <= 0.0):
+        raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
+    prices = consumption_prices(t.a, b1, image, "certificate prices")
     margins = prices - t.a.T @ prices
     return SustainabilityVerdict(True, alpha, b1, prices, margins)
 
@@ -115,13 +118,33 @@ def _is_positive_certificate(a: np.ndarray, b1: np.ndarray) -> bool:
     return bool(np.min(normalized) > POSITIVE_TOL and np.min(growth) > POSITIVE_TOL)
 
 
-def _certificate_prices(a: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """Simplex prices p_i = ratio_i <A_i, p> with ratio_i = b1_i / (A b1)_i."""
-    image = a @ b1
-    if np.any(image <= 0.0):
-        raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
-    ratio = b1 / image
-    return perron_vector(ratio[:, None] * a.T, "certificate prices")
+def clearing_terms(value, cost) -> np.ndarray:
+    """Terms value_i / cost_i of the clearing equation sum_i a_ki value_i / cost_i = x_k.
+
+    At prices p the value is x_i p_i and the cost the input cost <A_i, p>.
+    A sector with zero value drops out of the sum; a nonzero value over a
+    cost <= 0 raises HypothesisViolatedError.
+    """
+    live = value != 0.0
+    vanishing = np.flatnonzero(live & (cost <= 0.0))
+    if vanishing.size:
+        raise HypothesisViolatedError(f"input cost of sector {vanishing[0]} vanishes at these prices")
+    terms = np.zeros(value.shape[0])
+    terms[live] = value[live] / cost[live]
+    return terms
+
+
+def consumption_prices(a: np.ndarray, z: np.ndarray, ell: np.ndarray, what: str) -> np.ndarray:
+    """Simplex prices p_i = (z_i / ell_i) <A_i, p>, the fixed point of diag(w) A^T.
+
+    ``w = z / ell`` on the support of z and zero elsewhere, so prices vanish
+    off that support. ``core.perron_vector`` solves the fixed point and
+    names ``what`` when it fails.
+    """
+    w = np.zeros(z.shape[0])
+    supported = z > 0.0
+    w[supported] = z[supported] / ell[supported]
+    return perron_vector(w[:, None] * a.T, what)
 
 
 def clearing_residual(t: Technology, x, p) -> np.ndarray:
@@ -136,12 +159,4 @@ def clearing_residual(t: Technology, x, p) -> np.ndarray:
         raise ValueError("vector lengths must match the sector count")
     if np.any(p < 0.0) or not np.any(p > 0.0):
         raise ValueError("prices must be non-negative and nonzero")
-    denom = t.a.T @ p
-    value = x * p
-    live = value != 0.0
-    vanishing = np.flatnonzero(live & (denom <= 0.0))
-    if vanishing.size:
-        raise HypothesisViolatedError(f"input cost of sector {vanishing[0]} vanishes at these prices")
-    terms = np.zeros(t.n)
-    terms[live] = value[live] / denom[live]
-    return t.a @ terms - x
+    return t.a @ clearing_terms(x * p, t.a.T @ p) - x

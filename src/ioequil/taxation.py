@@ -31,19 +31,6 @@ def _column_sums(t_value: Technology) -> np.ndarray:
     return s
 
 
-def taxed_clearing_residual(t_value: Technology, big_x, pi) -> np.ndarray:
-    """Residual of sum_i a_ki (1 - pi_i) X_i / s_i = (1 - pi_k) X_k.
-
-    A zero column (s_i = 0) has a_ki = 0 in every row, so its term drops out.
-    """
-    big_x = _vector(big_x, "gross output")
-    pi = _vector(pi, "taxation vector")
-    s = t_value.a.sum(axis=0)
-    supplied = (1.0 - pi) * big_x
-    terms = np.divide(supplied, s, out=np.zeros_like(supplied), where=s > 0.0)
-    return t_value.a @ terms - supplied
-
-
 @dataclass(frozen=True)
 class TaxFamily:
     """One-parameter taxation family pi(c0) = 1 - c0 * factor.
@@ -130,8 +117,9 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
     ratios = _vector(ratios, "value-added ratios")
     if pi.shape != ratios.shape:
         raise ValueError("pi and ratios must have matching lengths")
-    if np.any(pi < 0.0) or np.any(pi >= 1.0):
-        raise ValueError("taxation components must lie in [0, 1)")
+    outside = np.flatnonzero((pi < 0.0) | (pi >= 1.0))
+    if outside.size:
+        raise HypothesisViolatedError(f"taxation component {outside[0]} must lie in [0, 1)")
     if np.any(ratios <= 0.0) or np.any(ratios >= 1.0):
         raise ValueError("value-added ratios must lie strictly inside (0, 1)")
     diagnostics = []

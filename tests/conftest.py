@@ -34,13 +34,16 @@ from ioequil.core import (
     POSITIVE_TOL,
     SPAN_TOL,
     _matrix,
+    _vector,
     is_indecomposable,
     matrix_rank,
     nonsingular_lu,
+    perron_vector,
 )
 from ioequil.errors import (
     DecomposableError,
     DegenerateGeneratorsError,
+    HypothesisViolatedError,
     NoConvergenceError,
     ParseError,
     SolverStallError,
@@ -894,6 +897,43 @@ def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -
     )
     validate_table(table, balance_tol)
     return table
+
+
+# Reference copies of the clearing terms and price fixed points that the
+# taxation layer, check_sustainable and prices_on_support wrote out before
+# they shared sustainability.clearing_terms and consumption_prices. They pin
+# the bytes of analyze's residual, the certificate prices and the support prices.
+
+def taxed_clearing_residual_reference(t_value, big_x, pi) -> np.ndarray:
+    """Residual of sum_i a_ki (1 - pi_i) X_i / s_i = (1 - pi_k) X_k.
+
+    A zero column (s_i = 0) has a_ki = 0 in every row, so its term drops out.
+    """
+    big_x = _vector(big_x, "gross output")
+    pi = _vector(pi, "taxation vector")
+    s = t_value.a.sum(axis=0)
+    supplied = (1.0 - pi) * big_x
+    terms = np.divide(supplied, s, out=np.zeros_like(supplied), where=s > 0.0)
+    return t_value.a @ terms - supplied
+
+
+def certificate_prices_reference(a: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """Simplex prices p_i = ratio_i <A_i, p> with ratio_i = b1_i / (A b1)_i."""
+    image = a @ b1
+    if np.any(image <= 0.0):
+        raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
+    ratio = b1 / image
+    return perron_vector(ratio[:, None] * a.T, "certificate prices")
+
+
+def support_prices_reference(a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: list[int]) -> np.ndarray:
+    """The Perron step of prices_on_support on the binding rows idx, extended by zero."""
+    minor = a[np.ix_(idx, idx)]
+    y = z[idx] / b[idx]
+    p_block = perron_vector(y[:, None] * minor.T, "support prices")
+    p = np.zeros(a.shape[0])
+    p[idx] = p_block
+    return p
 
 
 # Per-sector loops as the library first wrote them; each now runs as one

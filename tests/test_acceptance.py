@@ -30,7 +30,6 @@ from ioequil import (
     solution_from_alpha,
     tax_bounds,
     tax_family,
-    taxed_clearing_residual,
 )
 from conftest import (
     qp_enumeration_oracle,
@@ -197,7 +196,8 @@ def test_criterion_5_taxation_existence():
         family = tax_family(t, big_x, delta)
         for c0 in np.linspace(family.c0_max / 10.0, family.c0_max, 10):
             pi = family.pi(float(c0))
-            residual = taxed_clearing_residual(t, big_x, pi)
+            # the taxed equations: clearing at unit prices with x = psi
+            residual = clearing_residual(t, (1.0 - pi) * big_x, np.ones(n))
             assert np.max(np.abs(residual)) < 1e-8
         best = family.best_pi
         assert np.min(best) == 0.0

@@ -22,6 +22,7 @@ from conftest import (
     random_indecomposable,
     record_calls,
     record_technologies,
+    seeded_table,
     two_block,
 )
 
@@ -33,6 +34,7 @@ GOLDEN_JSON = [
     (('sustainable', 'toy2.csv'), 0, '85e2ced594145c3e569c2ad426fe5c9bf56d8cffe3beef2b31ba4acbbf23528e'),
     (('sustainable', 'toy2.csv', '--tax-bounds'), 0, 'cc2d852398896d48fb865d56c9fa11a6a1c6d8afda6e2c498364795c8ed086c0'),
     (('equilibrium', 'toy2.csv'), 0, 'bb01d92e0a958c3337ee47601a017e2aa7911c284de58789b645112b3abae1df'),
+    (('equilibrium', 'toy2.csv', '--alpha', '0.5,0.5'), 0, '7302859f7ef86a92d545786fb2fdb497ab2939bf03214f0201be80f149e2b0bc'),
     (('tax', 'toy2.csv', 'existing'), 0, 'e5829621e4ae5233a96be512c00b4132441a14418af143743c81dd945239e415'),
     (('tax', 'toy2.csv', 'best'), 0, '65bc3ad47dfe5cb64cd4ebacf124315390ccfdaefa591a810a9cd4dbf0769c40'),
     (('tax', 'toy2.csv', 'bounds'), 0, 'ca12764764e1e249b8437ae66f228ff5b3847002d7da49d36d020df59b621c9b'),
@@ -52,10 +54,13 @@ GOLDEN_JSON = [
     (('sustainable', 'toy3.csv', '--tax-bounds'), 1, '2d74961d3fa27e5b6cab41868b9ad9c8392f062af2dab997d9c36c8f267d80a2'),
     # these two carry the exact prices and best_pi of TestToy3ExactOracles
     (('equilibrium', 'toy3.csv'), 0, '6add8d794a64019a2d1ec5215e19ee7cd25bcc31d38c620d5ccabece7cb08ab0'),
+    (('equilibrium', 'toy3.csv', '--alpha', '0.25,0.25,0.5'), 0, '121de920a5c6fe5ad3e2630cc3dee421d2eead9f28bcb43a5aba3c36ccc48d2f'),
     (('tax', 'toy3.csv', 'existing'), 0, '0ff755bc4ca50b2eaea5c593cfbcd3f5d6cb1350e5e6470ff236b8b58981b95c'),
     (('tax', 'toy3.csv', 'best'), 0, '0fc851a39711bc1e1aadcfa00b75fa0d76fdb1f7c47e8354b25e7685a5a96af7'),
     (('tax', 'toy3.csv', 'bounds'), 0, '2b5a952964b0bf1e21d60e776cd63bfc3e3e4ea9d407a9a779405b2a23fe4e17'),
     (('tax', 'toy3.csv', 'value-added'), 0, '32e17fa1115950cdfa23ad7e2e5d7da6f2f0d9ddd63863a64dbd52311a2d429f'),
+    (('aggregate', 'toy3.csv', 'toy3to2.map', '--delta-hat', '0.4,0.6'), 0, '5e9a4bca725e86201a292ad8b5539830f14ef51fb0b98f2caef6ae4688e4baed'),
+    # test_byte_order_mark_map reads the last entry
     (('aggregate', 'toy3.csv', 'toy3to2.map'), 0, 'b2052fcdbc7cc7209080f62c155299bac9709f4e3ee137d75073aa7081c75f3c'),
 ]
 
@@ -548,7 +553,50 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: balance residual ")
 
-    def test_fully_taxed_sector_is_input_error(self, tmp_path):
+    def test_infeasible_program_result_exits_three(self, capsys, monkeypatch, overtaxed):
+        # a z the active-set solver returns outside A z <= b is a numerical
+        # breakdown, not a model hypothesis that fails
+        import dataclasses
+
+        from ioequil import qp
+
+        original = qp.solve_min_excess
+
+        def infeasible(t, b):
+            result = original(t, b)
+            return dataclasses.replace(result, z=result.z * (1.0 + 1e-6))
+
+        monkeypatch.setattr(qp, "solve_min_excess", infeasible)
+        assert main(["equilibrium", str(overtaxed), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stage 'min-excess-qp': active-set result violates feasibility\n"
+
+    def test_price_reconstruction_failure_exits_three(self, capsys, monkeypatch, tmp_path):
+        # the generalized branch checks that its prices reproduce z: a
+        # perturbed fixed point fails that check as a numerical breakdown. z
+        # is positive on two sectors here, so the perturbation is no rescaling
+        from ioequil import equilibrium
+
+        path = tmp_path / "generalized.csv"
+        path.write_text(dumps_table(seeded_table(np.random.default_rng(1), 3, 1.0)))
+        code, doc = run_json(capsys, ["equilibrium", str(path), "--format", "json"])
+        assert (code, doc["results"]["mode"]) == (0, "generalized")
+        original = equilibrium.consumption_prices
+
+        def perturbed(a, z, ell, what):
+            p = original(a, z, ell, what)
+            p[0] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(equilibrium, "consumption_prices", perturbed)
+        assert main(["equilibrium", str(path), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: stage 'prices-from-consumption': "
+                                "price reconstruction of z failed beyond tolerance\n")
+
+    def test_fully_taxed_sector_is_a_hypothesis_failure(self, capsys, tmp_path):
         path = tmp_path / "full_tax.csv"
         path.write_text(
             "sector,a,b,C,E,I,X\n"
@@ -556,7 +604,8 @@ class TestExitCodes:
             "b,0.3,0.2,0.5,0,0,1\n"
             "T1,0.5,0.25\nZ1,0.0,0.25\n"
         )
-        assert main(["tax", str(path), "bounds"]) == 2
+        assert main(["tax", str(path), "bounds"]) == 1
+        assert capsys.readouterr().err == "error: taxation component 0 must lie in [0, 1)\n"
 
     def test_unknown_seed_flag_rejected(self, toy2):
         with pytest.raises(SystemExit) as excinfo:
@@ -608,14 +657,26 @@ ZERO_VALUE_ADDED_CSV = (
 )
 DECOMPOSABLE = {
     "sustainable": "sustainability test requires an indecomposable matrix",
-    "equilibrium": "stage 'min-excess-qp': minimum-excess program requires an indecomposable matrix",
     "tax best": "taxation family requires an indecomposable matrix",
     "tax bounds": "reconstruction requires an indecomposable matrix",
     "tax value-added": "value-added taxation requires an indecomposable matrix",
 }
+# u supplies psi_u > 0 at a zero input cost: the unit-price clearing test refuses
+# the table before the minimum-excess program would find it decomposable
+UNIT_PRICE_CLEARING = "stage 'unit-price-clearing': input cost of sector 2 vanishes at these prices"
 NO_VALUE_ADDED = "sector 'agri' has non-positive value added"
 COLUMN_SUMS = "value-unit column sums must lie strictly inside (0, 1)"
-HYPOTHESIS_TABLES = {"isolated": ISOLATED_SECTOR_CSV, "zero-delta": ZERO_VALUE_ADDED_CSV}
+# toy2 with sector agri subsidised: T1 = (-0.05, 0.25), Z1 = (0.55, 0.25) keep Delta
+SUBSIDISED_CSV = (
+    "sector,agri,industry,C,E,I,X\n"
+    "agri,0.2,0.3,0.5,0,0,1\n"
+    "industry,0.3,0.2,0.5,0,0,1\n"
+    "T1,-0.05,0.25\nZ1,0.55,0.25\n"
+)
+SUBSIDY_OBSERVED = "observed taxation T1/Delta of sector 'agri' must lie in [0, 1)"
+SUBSIDY_BOUNDS = "taxation component 0 must lie in [0, 1)"
+HYPOTHESIS_TABLES = {"isolated": ISOLATED_SECTOR_CSV, "zero-delta": ZERO_VALUE_ADDED_CSV,
+                     "subsidised": SUBSIDISED_CSV}
 
 
 class TestHypothesisFailures:
@@ -625,7 +686,7 @@ class TestHypothesisFailures:
             ("isolated", ["check"], 1, None),
             ("isolated", ["sustainable"], 1, DECOMPOSABLE["sustainable"]),
             ("isolated", ["sustainable", "--tax-bounds"], 1, DECOMPOSABLE["sustainable"]),
-            ("isolated", ["equilibrium"], 1, DECOMPOSABLE["equilibrium"]),
+            ("isolated", ["equilibrium"], 1, UNIT_PRICE_CLEARING),
             ("isolated", ["tax", "existing"], 0, None),
             ("isolated", ["tax", "best"], 1, DECOMPOSABLE["tax best"]),
             ("isolated", ["tax", "bounds"], 1, DECOMPOSABLE["tax bounds"]),
@@ -637,6 +698,13 @@ class TestHypothesisFailures:
             ("zero-delta", ["tax", "best"], 1, COLUMN_SUMS),
             ("zero-delta", ["tax", "bounds"], 1, NO_VALUE_ADDED),
             ("zero-delta", ["tax", "value-added"], 1, COLUMN_SUMS),
+            ("subsidised", ["check"], 0, None),
+            ("subsidised", ["sustainable"], 1, SUBSIDY_OBSERVED),
+            ("subsidised", ["equilibrium"], 1, SUBSIDY_OBSERVED),
+            ("subsidised", ["tax", "existing"], 0, None),
+            ("subsidised", ["tax", "best"], 0, None),
+            ("subsidised", ["tax", "bounds"], 1, SUBSIDY_BOUNDS),
+            ("subsidised", ["tax", "value-added"], 0, None),
         ]
     ])
     def test_exit_code_and_single_error_line(self, capsys, tmp_path, table, argv, code, err):
@@ -653,7 +721,7 @@ class TestHypothesisFailures:
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ioequil.__file__))}
         done = subprocess.run([sys.executable, "-m", "ioequil.cli", "equilibrium", str(path)],
                               capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stderr) == (1, f"error: {DECOMPOSABLE['equilibrium']}\n")
+        assert (done.returncode, done.stderr) == (1, f"error: {UNIT_PRICE_CLEARING}\n")
 
     def test_merging_the_isolated_sector_is_the_remedy(self, capsys, tmp_path):
         # aggregating u into b gives an indecomposable coarse table
@@ -769,6 +837,31 @@ class TestFactsDecidedOnce:
         minors = [x for x in sweeps if not np.shares_memory(x, t.a)]
         assert len(minors) == 1 and np.array_equal(minors[0], t.a)
         assert support == [t]
+
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["sustainable", "--tax-bounds"], ["equilibrium"],
+        ["tax", "best"], ["tax", "bounds"], ["tax", "value-added"], ["aggregate"],
+    ], ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("name", ["toy2", "toy3", "table40"])
+    def test_one_price_map_and_the_balance_solve_call_perron(self, capsys, monkeypatch, tmp_path,
+                                                              table40, name, argv):
+        # each caller of perron_vector calls it once, so equal counts mean no
+        # other code builds a Perron fixed point
+        if name == "table40":
+            path, amap = table40
+        else:
+            path, amap = data_path(f"{name}.csv"), tmp_path / "identity.map"
+            amap.write_text("".join(f"{k} {k}\n" for k in range(1, int(name[-1]) + 1)))
+        perron = record_calls(monkeypatch, "core.perron_vector")
+        prices = record_calls(monkeypatch, "sustainability.consumption_prices")
+        balanced = record_calls(monkeypatch, "balance.balanced_eigenvector")
+        maps = [str(amap)] if argv[0] == "aggregate" else []
+        code = main([argv[0], str(path), *maps, *argv[1:], "--format", "json"])
+        assert code in (0, 1) and capsys.readouterr().err == ""
+        assert len(perron) == len(prices) + len(balanced)
+        if argv[0] == "sustainable" or argv[1:] in (["best"], ["value-added"]):
+            assert perron
 
 
 class TestDeterminism:

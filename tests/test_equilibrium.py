@@ -31,6 +31,7 @@ from conftest import (
     qp_enumeration_oracle,
     random_indecomposable,
     random_simplex,
+    support_prices_reference,
 )
 
 SYM = Technology([[0.2, 0.3], [0.3, 0.2]])
@@ -243,6 +244,31 @@ class TestPricesOnSupport:
             assert abs(multiplier - 1.0) < 1e-10
             walras = float(p[idx] @ residual[idx])
             assert abs(walras) < 1e-10
+
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_matches_the_support_perron_step(self, rng, density):
+        # consumption_prices with ell = b on the binding minor returns the
+        # bytes of the Perron step prices_on_support ran on its own
+        checked = 0
+        for n in range(2, 61):
+            a = random_indecomposable(rng, n, density=density)
+            for size in (n, int(rng.integers(1, n + 1))):
+                idx = sorted(rng.choice(n, size=size, replace=False).tolist())
+                z = np.zeros(n)
+                z[idx] = rng.uniform(0.3, 2.0, size)
+                slack = np.ones(n, dtype=bool)
+                slack[idx] = False
+                b = a @ z + np.where(slack, rng.uniform(0.2, 1.0, n), 0.0)
+                if np.any(b[idx] <= 0.0):
+                    continue
+                try:
+                    p = prices_on_support(Technology(a), b, z, idx)
+                except DecomposableMinorError:
+                    continue
+                assert p.tobytes() == support_prices_reference(a, b, z, idx).tobytes()
+                checked += 1
+        assert checked >= 59
 
 
 class TestPricesFromConsumption:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from ioequil import real_economy
 from ioequil.errors import BalanceError, ParseError
 from ioequil.real_economy import IOTable, balance_gaps
 
-from conftest import data_path, loads_table_reference, seeded_table
+from conftest import (
+    data_path,
+    loads_table_reference,
+    seeded_table,
+    taxed_clearing_residual_reference,
+)
 
 
 def table_from_value_added_system(rng, n):
@@ -313,6 +320,28 @@ class TestAnalyze:
             assert report.excess_level == 0.0
             expected_pi = 1.0 - table.technology.a.sum(axis=0)
             assert np.allclose(report.pi0, expected_pi, atol=1e-9)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_residual_matches_the_taxed_reference(self, rng, monkeypatch, density):
+        # the clearing equation at unit prices with x = psi keeps the bytes of
+        # the taxed clearing residual it replaced. The residual is decided
+        # before the minimum-excess program, which a stand-in state replaces
+        monkeypatch.setattr(real_economy, "assemble_equilibrium",
+                            lambda t, b: SimpleNamespace(excess_level=0.0))
+        for n in range(2, 61, 2):
+            table = seeded_table(rng, n, density)
+            report = analyze(table)
+            residual = taxed_clearing_residual_reference(table.technology, table.big_x, report.pi0)
+            rel = float(np.max(np.abs(residual))) / max(1.0, float(np.max(table.big_x)))
+            assert report.sustainability_residual == rel
+
+    def test_unit_price_state_matches_the_taxed_terms(self, rng):
+        for n in range(2, 61, 2):
+            table = table_from_value_added_system(rng, n)
+            report = analyze(table)
+            assert report.sustainable_at_unit_prices
+            psi = (1.0 - report.pi0) * table.big_x
+            assert report.equilibrium.z.tobytes() == (psi / table.technology.a.sum(axis=0)).tobytes()
 
     def test_excess_level_in_unit_interval(self, rng):
         table = load_table(data_path("toy2_overtaxed.csv"))

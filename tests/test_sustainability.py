@@ -7,6 +7,7 @@ from ioequil.errors import HypothesisViolatedError
 from ioequil.qp import solve_min_excess
 
 from conftest import (
+    certificate_prices_reference,
     data_path,
     dependent_columns,
     random_productive,
@@ -105,6 +106,19 @@ class TestCheckSustainable:
         verdict = check_sustainable(t, np.array([1.0, 2.0, 3.0, 4.0]))
         assert not verdict.sustainable
         assert verdict.b1 is None and verdict.prices is None
+
+
+class TestCertificatePrices:
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_match_the_certificate_reference(self, rng, density):
+        # consumption_prices with ell = A b1 returns the bytes of the
+        # certificate Perron step check_sustainable ran on its own
+        for n in range(2, 61):
+            t = random_productive(rng, n, density=density)
+            x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.5, 1.5, n))
+            verdict = check_sustainable(t, x)
+            assert verdict.sustainable
+            assert verdict.prices.tobytes() == certificate_prices_reference(t.a, verdict.b1).tobytes()
 
 
 class TestSingularBranch:

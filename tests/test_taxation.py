@@ -6,12 +6,12 @@ import pytest
 
 from ioequil import (
     Technology,
+    clearing_residual,
     fit_scale,
     load_table,
     real_tax_vector,
     tax_bounds,
     tax_family,
-    taxed_clearing_residual,
     value_added_tax,
 )
 from ioequil.errors import HypothesisViolatedError, ZeroValueAddedError
@@ -41,7 +41,9 @@ class TestTaxFamily:
 
     def test_equilibrium_at_interior_c0(self):
         family = tax_family(SYM_VALUE, [1.0, 1.0], [0.5, 0.5])
-        residual = taxed_clearing_residual(SYM_VALUE, np.array([1.0, 1.0]), family.pi(2.0))
+        # the taxed equations are the clearing equations at unit prices with x = psi
+        psi = (1.0 - family.pi(2.0)) * np.array([1.0, 1.0])
+        residual = clearing_residual(SYM_VALUE, psi, np.ones(2))
         assert np.max(np.abs(residual)) < 1e-10
 
     def test_supplied_value_proportional_to_balanced_weights(self, rng):
@@ -177,7 +179,7 @@ class TestValueAddedTax:
             t = random_value_units(rng, n)
             system = value_added_tax(t)
             big_x = system.x0 * float(rng.uniform(0.5, 4.0))
-            residual = taxed_clearing_residual(t, big_x, system.pi)
+            residual = clearing_residual(t, (1.0 - system.pi) * big_x, np.ones(n))
             assert np.max(np.abs(residual)) < 1e-10
 
 
@@ -234,7 +236,7 @@ class TestRealTaxVector:
 
         pi0 = real_tax_vector(FakeTable())
         assert np.allclose(pi0, [1.0, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisViolatedError, match=r"^taxation component 0 must lie in \[0, 1\)$"):
             tax_bounds(pi0, [0.5, 0.5])
 
     @pytest.mark.parametrize("density", [1.0, 0.3])
