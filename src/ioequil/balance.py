@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
 )
 from .qp import _nnls
+from .sustainability import clearing_terms
 
 BALANCE_RESIDUAL_TOL = 1e-10
 FEASIBILITY_TOL = 1e-10      # A z <= b (1 + FEASIBILITY_TOL) at a polished complementary point
@@ -69,15 +70,13 @@ def balanced_eigenvector(b1: Technology | np.ndarray) -> np.ndarray:
         raise ValueError("balance matrix must be non-negative")
     scale = max(1.0, float(np.max(b1)))
     row_sums = b1.sum(axis=1)
+    if np.any(row_sums <= 0.0):
+        raise DecomposableError("balance matrix has a zero row")
     if not (is_indecomposable(b1) if t is None else t.indecomposable) and l > 1:
         uniform = np.full(l, 1.0 / l)
-        if np.any(row_sums <= 0.0):
-            raise DecomposableError("balance matrix has a zero row")
         if balance_residual(b1, uniform) <= BALANCE_RESIDUAL_TOL * scale:
             return uniform
         raise DecomposableError("balance matrix is decomposable and has no canonical solution")
-    if np.any(row_sums <= 0.0):
-        raise DecomposableError("balance matrix has a zero row")
 
     p = perron_vector((b1 / row_sums[:, None]).T, "balanced weights")
     d = p / row_sums
@@ -192,7 +191,7 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
     denom = c.T @ p
     if np.any(denom <= 0.0):
         return ClearingOutcome(None, "a demand value <C_i, p> vanishes at the assembled prices", b1, d)
-    lhs = c @ ((b.T @ p) / denom)
+    lhs = c @ clearing_terms(b.T @ p, denom)
     rhs = b.sum(axis=1)
     if float(np.max(np.abs(lhs - rhs))) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
         return ClearingOutcome(None, "clearing equations fail at the assembled prices", b1, d)

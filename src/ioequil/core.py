@@ -9,12 +9,14 @@ spanned by the columns of ``C``.
 Linear-algebra policy: library factorizations, not hand-written loops.
 Square matrices are singular unless ``nonsingular_lu`` accepts their LU;
 rectangular ranks count the pivots of a column-pivoted QR (Businger & Golub)
-above ``PIVOT_RTOL`` times the largest absolute entry; indecomposability
-is a single strong component of the support digraph, decided in numpy by
-two breadth-first reachability sweeps from sector 0 (one along the edges,
-one against them; O(n^2), no scipy). For A itself the LU verdict and its
-factors are cached as ``Technology.lu``, which the sustainability solve and
-the minimum-excess QP's start both read. The coordinates of a vector in a set
+above ``PIVOT_RTOL`` times the largest absolute entry (``pivoted_rank``),
+and so does the singular sustainability solve on its one QR of A^T;
+indecomposability is a single strong component of the support digraph,
+decided in numpy by two breadth-first reachability sweeps from sector 0
+(one along the edges, one against them; O(n^2), no scipy). For A itself the
+LU verdict and its factors are cached as ``Technology.lu``, on which the
+nonsingular sustainability solve runs LAPACK ``getrs`` and from which the
+minimum-excess QP's start reads. The coordinates of a vector in a set
 of independent columns come from one least-squares solve
 (``np.linalg.lstsq``); the columns first pass the full-column-rank check,
 and a separate max-norm residual test decides span membership.
@@ -147,12 +149,14 @@ def matrix_rank(m) -> int:
     a = _matrix(m)
     if a.size == 0:
         return 0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0
     from scipy.linalg import qr
 
     r, _ = qr(a, mode="r", pivoting=True)
+    return pivoted_rank(r, float(np.max(np.abs(a))))
+
+
+def pivoted_rank(r: np.ndarray, scale: float) -> int:
+    """Pivots of a column-pivoted QR's R above ``PIVOT_RTOL`` times the matrix's max |entry|."""
     return int(np.count_nonzero(np.abs(np.diag(r)) > PIVOT_RTOL * scale))
 
 

@@ -282,9 +282,8 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
         z_used = np.zeros(t.n)
         z_used[idx] = z0[idx]
         p_u = p.copy()
-        for j in rest:
-            cost = float(t.a[idx, j] @ p[idx])
-            p_u[j] = cost if cost > 0.0 else 1.0
+        cost = t.a[np.ix_(idx, rest)].T @ p[idx]
+        p_u[rest] = np.where(cost > 0.0, cost, 1.0)
         mode = "support"
     else:
         z_used = z0

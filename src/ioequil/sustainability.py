@@ -16,8 +16,8 @@ from .core import (
     POSITIVE_TOL,
     Technology,
     _vector,
-    matrix_rank,
     perron_vector,
+    pivoted_rank,
 )
 from .errors import DecomposableError, HypothesisViolatedError
 
@@ -38,32 +38,33 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray | None:
-    """Solve A b1 = x for a singular A from one SVD sliced at ``rank``.
+def _singular_intermediate(a: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Solve A b1 = x for a singular A from one pivoted QR, A^T P = Q R.
 
     Returns None when x lies outside the column space of A: no b1 exists,
-    so the mode is not sustainable. The minimum-norm solution is returned
-    when it is already a positive certificate. Otherwise b1 is determined
-    only up to ker(A), so a small linear program moves it along the kernel
-    to maximize the worst of the margins b1 > 0 and (E - A) b1 > 0; the
-    caller re-checks the result.
+    so the mode is not sustainable. With r the rank ``core.pivoted_rank``
+    reads off R, the minimum-norm solution Q_1 R_11^-T (P^T x)_1 is returned
+    when it is already a positive certificate. Otherwise a small linear
+    program moves it along ker(A) = span Q_2 to maximize the worst of the
+    margins b1 > 0 and (E - A) b1 > 0; the caller re-checks the result.
     """
-    n = a.shape[0]
-    u, s, vh = np.linalg.svd(a)
-    b1 = vh[:rank].T @ ((u[:, :rank].T @ x) / s[:rank])
-    if float(np.max(np.abs(a @ b1 - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
+    from scipy.linalg import qr, solve_triangular
+
+    q, r, piv = qr(a.T, pivoting=True)
+    rank = pivoted_rank(r, float(np.max(np.abs(a))))
+    b1 = q[:, :rank] @ solve_triangular(r[:rank, :rank], x[piv[:rank]], trans="T")
+    image = a @ b1
+    if float(np.max(np.abs(image - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
         return None
-    if _is_positive_certificate(a, b1):
+    alpha = b1 - image
+    if _is_positive_certificate(b1, alpha):
         return b1
-    kernel = vh[rank:].T
-    growth = np.eye(n) - a
+    kernel = q[:, rank:]
     # variables (mu, t): maximize t with b1 + N mu >= t, (E-A)(b1 + N mu) >= t
     k = kernel.shape[1]
-    a_ub = np.block([
-        [-kernel, np.ones((n, 1))],
-        [-growth @ kernel, np.ones((n, 1))],
-    ])
-    b_ub = np.concatenate([b1, growth @ b1])
+    ones = np.ones((a.shape[0], 1))
+    a_ub = np.block([[-kernel, ones], [a @ kernel - kernel, ones]])
+    b_ub = np.concatenate([b1, alpha])
     c = np.zeros(k + 1)
     c[-1] = -1.0
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (k + 1), method="highs")
@@ -75,11 +76,10 @@ def _singular_intermediate(a: np.ndarray, x: np.ndarray, rank: int) -> np.ndarra
 def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     """Decide whether gross output x supports the sustainable mode.
 
-    Solves A b1 = x, sets alpha = (E - A) b1, and declares the mode
-    sustainable when both vectors are strictly positive (thresholds applied
-    after normalizing b1 by its largest component). On success the simplex
-    price vector and positive value-added margins from the constructive
-    proof are attached to the verdict.
+    Solves A b1 = x (on the cached LU of a nonsingular A) and declares the
+    mode sustainable when b1 and alpha = b1 - A b1 are strictly positive
+    relative to max |b1|. On success the simplex price vector and positive
+    value-added margins of the constructive proof are attached.
     """
     x = _vector(x, "gross output")
     if x.shape[0] != t.n:
@@ -91,17 +91,18 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     if not t.indecomposable:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 
-    if t.lu is not None:
-        # numpy and scipy ship different OpenBLAS builds whose solves differ in the
-        # last digits: numpy keeps the certificate's bytes at the cost of a second LU
-        b1 = np.linalg.solve(t.a, x)
+    if t.lu is None:
+        b1 = _singular_intermediate(t.a, x)
     else:
-        b1 = _singular_intermediate(t.a, x, matrix_rank(t.a))
-    if b1 is None or not _is_positive_certificate(t.a, b1):
+        from scipy.linalg.lapack import dgetrs
+        b1 = dgetrs(*t.lu, x)[0]
+    if b1 is None:
+        return SustainabilityVerdict(False, None, None, None, None)
+    image = t.a @ b1
+    alpha = b1 - image
+    if not _is_positive_certificate(b1, alpha):
         return SustainabilityVerdict(False, None, None, None, None)
 
-    alpha = (np.eye(t.n) - t.a) @ b1
-    image = t.a @ b1
     if np.any(image <= 0.0):
         raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
     prices = consumption_prices(t.a, b1, image, "certificate prices")
@@ -109,13 +110,10 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     return SustainabilityVerdict(True, alpha, b1, prices, margins)
 
 
-def _is_positive_certificate(a: np.ndarray, b1: np.ndarray) -> bool:
-    top = float(np.max(np.abs(b1))) if b1.size else 0.0
-    if top <= 0.0:
-        return False
-    normalized = b1 / top
-    growth = normalized - a @ normalized
-    return bool(np.min(normalized) > POSITIVE_TOL and np.min(growth) > POSITIVE_TOL)
+def _is_positive_certificate(b1: np.ndarray, alpha: np.ndarray) -> bool:
+    """b1 > 0 and alpha = (E - A) b1 > 0, both relative to the largest |b1|."""
+    top = float(np.max(np.abs(b1)))
+    return bool(np.min(b1) > POSITIVE_TOL * top and np.min(alpha) > POSITIVE_TOL * top)
 
 
 def clearing_terms(value, cost) -> np.ndarray:

@@ -903,6 +903,8 @@ def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -
 # taxation layer, check_sustainable and prices_on_support wrote out before
 # they shared sustainability.clearing_terms and consumption_prices. They pin
 # the bytes of analyze's residual, the certificate prices and the support prices.
+# The singular certificate as check_sustainable first solved it, from an SVD
+# of A, is the oracle of the one pivoted QR that replaced it.
 
 def taxed_clearing_residual_reference(t_value, big_x, pi) -> np.ndarray:
     """Residual of sum_i a_ki (1 - pi_i) X_i / s_i = (1 - pi_k) X_k.
@@ -924,6 +926,49 @@ def certificate_prices_reference(a: np.ndarray, b1: np.ndarray) -> np.ndarray:
         raise HypothesisViolatedError("A b1 must be strictly positive for the price construction")
     ratio = b1 / image
     return perron_vector(ratio[:, None] * a.T, "certificate prices")
+
+
+def positive_certificate_reference(a: np.ndarray, b1: np.ndarray) -> bool:
+    """b1 > 0 and (E - A) b1 > 0 after normalizing b1 by its largest entry."""
+    top = float(np.max(np.abs(b1))) if b1.size else 0.0
+    if top <= 0.0:
+        return False
+    normalized = b1 / top
+    growth = normalized - a @ normalized
+    return bool(np.min(normalized) > POSITIVE_TOL and np.min(growth) > POSITIVE_TOL)
+
+
+def singular_intermediate_reference(a: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """A b1 = x for a singular A from one SVD sliced at ``matrix_rank(A)``.
+
+    None off the column space; the minimum-norm solution when it is a
+    positive certificate; otherwise the max-margin LP over the kernel.
+    """
+    from scipy.optimize import linprog
+
+    rank = matrix_rank(a)
+    n = a.shape[0]
+    u, s, vh = np.linalg.svd(a)
+    b1 = vh[:rank].T @ ((u[:, :rank].T @ x) / s[:rank])
+    if float(np.max(np.abs(a @ b1 - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
+        return None
+    if positive_certificate_reference(a, b1):
+        return b1
+    kernel = vh[rank:].T
+    growth = np.eye(n) - a
+    # variables (mu, t): maximize t with b1 + N mu >= t, (E-A)(b1 + N mu) >= t
+    k = kernel.shape[1]
+    a_ub = np.block([
+        [-kernel, np.ones((n, 1))],
+        [-growth @ kernel, np.ones((n, 1))],
+    ])
+    b_ub = np.concatenate([b1, growth @ b1])
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (k + 1), method="highs")
+    if not result.success or -result.fun <= POSITIVE_TOL * max(1.0, float(np.max(np.abs(b1)))):
+        return b1
+    return b1 + kernel @ result.x[:k]
 
 
 def support_prices_reference(a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -1015,6 +1060,21 @@ def record_calls(monkeypatch, name: str) -> list:
             for held, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, held, recorded)
+    return seen
+
+
+def count_calls(monkeypatch, module, attr: str) -> list:
+    """Rebind the library function ``module.attr`` (numpy's or scipy's, which
+    ioequil looks up at call time); the list collects the first argument of
+    every call."""
+    original = getattr(module, attr)
+    seen = []
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recorded)
     return seen
 
 

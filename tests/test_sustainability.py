@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 from ioequil import Technology, check_sustainable, clearing_residual, load_table
 from ioequil.core import matrix_rank, nonsingular_lu, perron_vector
@@ -8,9 +10,13 @@ from ioequil.qp import solve_min_excess
 
 from conftest import (
     certificate_prices_reference,
+    count_calls,
     data_path,
     dependent_columns,
+    positive_certificate_reference,
     random_productive,
+    record_calls,
+    singular_intermediate_reference,
     spectral_radius_oracle,
 )
 
@@ -180,18 +186,9 @@ class TestSingularBranch:
 class TestRankCalls:
     @pytest.mark.parametrize("singular", [False, True])
     def test_rank_computed_once(self, rng, monkeypatch, singular):
-        # the rank slices the SVD of the singular branch; a nonsingular A
-        # passes core.nonsingular_lu and needs no rank
-        from ioequil import sustainability
-
-        calls = []
-        original = sustainability.matrix_rank
-
-        def counted(m, *args, **kwargs):
-            calls.append(1)
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(sustainability, "matrix_rank", counted)
+        # the singular branch reads its rank off its one pivoted QR; a
+        # nonsingular A passes core.nonsingular_lu and needs no rank
+        calls = count_calls(monkeypatch, scipy.linalg, "qr")
         t = make_singular_productive(rng, 5) if singular else random_productive(rng, 5)
         x = t.a @ np.linalg.solve(np.eye(5) - t.a, rng.uniform(0.5, 1.5, 5))
         check_sustainable(t, x)
@@ -242,7 +239,7 @@ class TestOneSingularityTest:
         assert load_table(data_path("toy3.csv")).technology.lu is None
 
     def test_rejected_lu_takes_every_singular_branch(self, rng, monkeypatch):
-        from ioequil import core, qp, sustainability
+        from ioequil import core, qp
 
         t = random_productive(rng, 6)
         row_stochastic = t.a / t.a.sum(axis=1, keepdims=True)
@@ -252,17 +249,10 @@ class TestOneSingularityTest:
         assert solve_min_excess(t.a, supply).start == "ldp"
         assert check_sustainable(t, x).sustainable
 
-        calls = []
-        original = sustainability.matrix_rank
-
-        def counted(m):
-            calls.append(1)
-            return original(m)
-
         # the sustainability solve first: its certificate prices need core's
         # binding. t.lu is cached by now, so a class property overrides it
         monkeypatch.setattr(core.Technology, "lu", property(lambda self: None))
-        monkeypatch.setattr(sustainability, "matrix_rank", counted)
+        calls = count_calls(monkeypatch, scipy.linalg, "qr")
         assert check_sustainable(t, x).sustainable
         assert len(calls) == 1
         monkeypatch.setattr(core, "nonsingular_lu", lambda m: None)
@@ -270,6 +260,169 @@ class TestOneSingularityTest:
         with pytest.raises(HypothesisViolatedError, match="the eigenvalue one is not simple"):
             perron_vector(row_stochastic, "test")
         assert solve_min_excess(t.a, supply).start == "zero"
+
+
+def close(value: np.ndarray, reference: np.ndarray, rtol: float = 1e-10) -> bool:
+    return float(np.max(np.abs(value - reference))) <= rtol * float(np.max(np.abs(reference)))
+
+
+def singular_productive_families():
+    """(t, x, on_column_space) on rank n-1 and n-2 tables, dense and at 30%
+    density: per table two constructed certificates, the second from a
+    spread-out alpha that the minimum-norm solution often misses, the image
+    of a random positive vector, and a positive x off the column space."""
+    for n in (8, 20, 60):
+        for k in (1, 2):
+            for density in (1.0, 0.3):
+                rng = np.random.default_rng([n, k, int(density * 10)])
+                for _ in range(4):
+                    a = dependent_columns(rng, n, k, density)
+                    t = Technology(a * (0.6 / spectral_radius_oracle(a)))
+                    if not t.indecomposable:
+                        continue
+                    assert t.lu is None and matrix_rank(t.a) == n - k
+                    for spread in (1, 4):
+                        alpha = rng.uniform(0.2, 2.0, n) ** spread
+                        yield t, t.a @ np.linalg.solve(np.eye(n) - t.a, alpha), True
+                    image = t.a @ rng.uniform(0.1, 1.0, n)
+                    yield t, image, True
+                    left = np.linalg.svd(t.a)[0][:, -1]     # left kernel: u^T A = 0
+                    yield t, image + 0.5 * np.min(image) * left / np.max(np.abs(left)), False
+
+
+class TestSingularParity:
+    """The one pivoted QR of A^T gives the verdicts of the SVD it replaced,
+    and b1, alpha and prices within 1e-10 relative.
+
+    The one exception is a kernel LP with more than one optimum: the two
+    kernel bases differ, so HiGHS may stop on another optimal vertex. There
+    the LP's margin min(b1, alpha) must agree within 1e-10 max b1, and
+    both b1 must solve A b1 = x.
+    """
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        return record_calls(monkeypatch, "sustainability.linprog")
+
+    @staticmethod
+    def compare(t, x, lp_calls) -> str:
+        """'not sustainable', 'minimum norm', 'lp' or 'lp tie', after the asserts."""
+        before = len(lp_calls)
+        verdict = check_sustainable(t, x)
+        b1 = singular_intermediate_reference(t.a, x)
+        expected = b1 is not None and positive_certificate_reference(t.a, b1)
+        assert verdict.sustainable == expected
+        if not expected:
+            return "not sustainable"
+        alpha = (np.eye(t.n) - t.a) @ b1
+        path = "lp" if len(lp_calls) > before else "minimum norm"
+        if path == "lp" and not close(verdict.b1, b1):
+            margin = min(np.min(verdict.b1), np.min(verdict.alpha))
+            assert abs(margin - min(np.min(b1), np.min(alpha))) <= 1e-10 * np.max(b1)
+            assert np.max(np.abs(t.a @ verdict.b1 - x)) <= 1e-9 * np.max(x)
+            return "lp tie"
+        assert close(verdict.b1, b1)
+        assert close(verdict.alpha, alpha)
+        assert close(verdict.prices, certificate_prices_reference(t.a, b1))
+        return path
+
+    def test_singular_productive_tables(self, lp_calls):
+        rng = np.random.default_rng(0)
+        paths = []
+        for _ in range(200):
+            n = int(rng.integers(3, 6))
+            t = make_singular_productive(rng, n)
+            x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.2, 2.0, n))
+            paths.append(self.compare(t, x, lp_calls))
+        assert set(paths) == {"minimum norm", "lp"}
+
+    def test_rank_deficient_families(self, lp_calls):
+        paths = []
+        for t, x, on_column_space in singular_productive_families():
+            path = self.compare(t, x, lp_calls)
+            # off the column space both versions fail the residual test
+            assert on_column_space or (path == "not sustainable"
+                                       and singular_intermediate_reference(t.a, x) is None)
+            paths.append(path)
+        assert {"not sustainable", "minimum norm", "lp"} <= set(paths)
+
+
+class TestNonsingularAccuracy:
+    @pytest.mark.parametrize("density", [1.0, 0.3], ids=["dense", "30%"])
+    def test_lu_solve_as_accurate_as_numpy(self, density):
+        # getrs on t.lu and numpy's solve are both LU solves with partial
+        # pivoting, whose forward errors scatter within n eps cond_1(A) of the
+        # exact b1: per table either may be the nearer one. Each must stay
+        # within that bound, and over the sweep the total error of getrs must
+        # not exceed numpy's beyond that scatter.
+        rng = np.random.default_rng([5, int(density * 10)])
+        eps = np.finfo(float).eps
+        ours, numpys = [], []
+        for n in range(2, 61):
+            t = random_productive(rng, n, density=density)
+            x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.5, 1.5, n))
+            exact = refined_solution(t.a, x)
+            scale = float(np.max(np.abs(exact)))
+            bound = n * eps * np.linalg.cond(t.a, 1)
+            ours.append(float(np.max(np.abs(check_sustainable(t, x).b1 - exact))) / scale)
+            numpys.append(float(np.max(np.abs(np.linalg.solve(t.a, x) - exact))) / scale)
+            assert ours[-1] <= bound and numpys[-1] <= bound
+        assert sum(ours) <= 2.0 * sum(numpys)
+
+
+def refined_solution(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A^-1 x by iterative refinement with long-double residuals."""
+    wide_a, wide_x = a.astype(np.longdouble), x.astype(np.longdouble)
+    b = np.linalg.solve(a, x).astype(np.longdouble)
+    for _ in range(4):
+        b += np.linalg.solve(a, (wide_x - wide_a @ b).astype(float))
+    return b.astype(float)
+
+
+class TestOneFactorization:
+    """A certificate factors A at most once: a nonsingular A reuses the
+    cached t.lu, a singular one takes a single pivoted QR."""
+
+    @staticmethod
+    def counters(monkeypatch):
+        return {
+            "lu": record_calls(monkeypatch, "core.nonsingular_lu"),
+            "getrf": count_calls(monkeypatch, lapack, "dgetrf"),
+            "solve": count_calls(monkeypatch, np.linalg, "solve"),
+            "qr": count_calls(monkeypatch, scipy.linalg, "qr"),
+            "svd": count_calls(monkeypatch, np.linalg, "svd"),
+            "rank": record_calls(monkeypatch, "core.matrix_rank"),
+            "lp": record_calls(monkeypatch, "sustainability.linprog"),
+        }
+
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_nonsingular_reads_the_cached_lu(self, rng, monkeypatch, n):
+        t = random_productive(rng, n, density=0.3)
+        x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.5, 1.5, n))
+        assert t.productive and t.indecomposable and t.lu is not None
+        calls = self.counters(monkeypatch)
+        assert check_sustainable(t, x).sustainable
+        on_a = {name: [m for m in seen if np.shape(m) == t.a.shape and np.array_equal(m, t.a)]
+                for name, seen in calls.items()}
+        assert on_a == {name: [] for name in calls}
+
+    @pytest.mark.parametrize("case", ["toy3", "lp"])
+    def test_singular_takes_one_pivoted_qr(self, monkeypatch, case):
+        # toy3 returns the minimum-norm solution; the first draw of
+        # make_singular_productive from seed 144 needs the kernel LP
+        if case == "toy3":
+            table = load_table(data_path("toy3.csv"))
+            t, x = table.technology, table.big_x
+        else:
+            rng = np.random.default_rng(144)
+            t = make_singular_productive(rng, int(rng.integers(3, 6)))
+            x = t.a @ np.linalg.solve(np.eye(t.n) - t.a, rng.uniform(0.2, 2.0, t.n))
+        assert t.productive and t.indecomposable and t.lu is None
+        calls = self.counters(monkeypatch)
+        assert check_sustainable(t, x).sustainable
+        assert len(calls["qr"]) == 1 and np.array_equal(calls["qr"][0], t.a.T)
+        assert calls["svd"] == [] and calls["rank"] == []
+        assert len(calls["lp"]) == (case == "lp")
 
 
 class TestClearingResidual:
