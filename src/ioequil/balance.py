@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
 )
 from .qp import _nnls
-from .sustainability import clearing_terms
+from .sustainability import CLEARING_TOL, clearing_terms
 
 BALANCE_RESIDUAL_TOL = 1e-10
 FEASIBILITY_TOL = 1e-10      # A z <= b (1 + FEASIBILITY_TOL) at a polished complementary point
@@ -193,7 +193,7 @@ def clearing_equilibrium(c, b) -> ClearingOutcome:
         return ClearingOutcome(None, "a demand value <C_i, p> vanishes at the assembled prices", b1, d)
     lhs = c @ clearing_terms(b.T @ p, denom)
     rhs = b.sum(axis=1)
-    if float(np.max(np.abs(lhs - rhs))) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+    if float(np.max(np.abs(lhs - rhs))) > CLEARING_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         return ClearingOutcome(None, "clearing equations fail at the assembled prices", b1, d)
     return ClearingOutcome(p, None, b1, d)
 
@@ -300,6 +300,6 @@ def support_partition(t: Technology, b, y) -> SupportPartition:
         raise HypothesisViolatedError("A @ y vanishes; no scale exists")
     ratios = np.where(image > 0.0, b / np.where(image > 0.0, image, 1.0), np.inf)
     a = float(np.min(ratios))
-    binding = tuple(int(i) for i in np.flatnonzero(ratios <= a * (1.0 + 1e-12)))
-    slack = tuple(i for i in range(t.n) if i not in binding)
-    return SupportPartition(scale=a, binding=binding, slack=slack, z=a * y)
+    binding = ratios <= a * (1.0 + 1e-12)
+    return SupportPartition(scale=a, binding=tuple(np.flatnonzero(binding).tolist()),
+                            slack=tuple(np.flatnonzero(~binding).tolist()), z=a * y)

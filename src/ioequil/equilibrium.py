@@ -24,10 +24,9 @@ from .errors import (
     SupportViolationError,
     ZeroColumnError,
 )
-from .sustainability import clearing_terms, consumption_prices
+from .sustainability import CLEARING_TOL, clearing_terms, consumption_prices
 
 BINDING_TOL = 1e-8          # |b_i - (A z)_i| <= BINDING_TOL * max(1, b_i)
-CLEARING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,13 @@ def binding_rows(t: Technology, b, z) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(binding))
 
 
+def _split(n: int, binding) -> tuple[list[int], list[int]]:
+    """The binding rows and the other rows of ``range(n)``, both ascending."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(binding)] = True
+    return np.flatnonzero(mask).tolist(), np.flatnonzero(~mask).tolist()
+
+
 def _support_violation(t: Technology, b: np.ndarray, z: np.ndarray,
                        idx: list[int], rest: list[int]) -> str | None:
     """Why z restricted to the binding set cannot carry support prices, or None.
@@ -159,12 +165,12 @@ def prices_on_support(t: Technology, b, z, binding) -> np.ndarray:
     """
     b = _vector(b, "supply vector")
     z = _vector(z, "solution vector")
-    idx = sorted(int(i) for i in binding)
+    idx = [int(i) for i in binding]
     if not idx:
         raise HypothesisViolatedError("binding set is empty")
     if any(i < 0 or i >= t.n for i in idx):
         raise ValueError("binding set contains out-of-range indices")
-    rest = [i for i in range(t.n) if i not in idx]
+    idx, rest = _split(t.n, idx)
     # the support conditions before the minor: an optimum that fails them,
     # as most optima that take the generalized branch do, needs no sweep
     reason = _support_violation(t, b, z, idx, rest)
@@ -265,8 +271,7 @@ def assemble_equilibrium(t: Technology, b) -> EquilibriumState:
     except ModelError as exc:
         raise PipelineError("min-excess-qp", exc) from exc
 
-    idx = list(binding_rows(t, b, z0))
-    rest = [i for i in range(t.n) if i not in idx]
+    idx, rest = _split(t.n, binding_rows(t, b, z0))
     if not idx:
         raise PipelineError(
             "binding-set", HypothesisViolatedError("no binding rows at the program optimum")

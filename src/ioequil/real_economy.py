@@ -16,8 +16,13 @@ sum_k Z_ki = X_i - (T1_i + Z1_i).
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import csv
 import io
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,12 +31,20 @@ import numpy as np
 
 from . import taxation
 from .core import Technology
-from .equilibrium import CLEARING_TOL, EquilibriumState, assemble_equilibrium
+from .equilibrium import EquilibriumState, assemble_equilibrium
 from .errors import BalanceError, HypothesisViolatedError, ParseError, PipelineError
-from .sustainability import clearing_terms
+from .sustainability import CLEARING_TOL, clearing_terms
 from .taxation import TaxBoundsReport, tax_bounds
 
 DEFAULT_BALANCE_TOL = 1e-6    # relative; statistical tables carry rounding noise
+
+# The plain reader: the bytes of a plain cell, the cells per row chunk, and
+# the smallest normal double as a biased x87 exponent (16383 - 1022)
+_NUMBER_BYTES = b"0123456789.+-eE"
+_CHUNK_CELLS = 1 << 13
+_X87_MIN_NORMAL_EXP = 15361
+_helper = None   # (pid, executor): the one reader thread, made on first use
+_helper_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +171,128 @@ def _scan_rows(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     return flows, footers
 
 
+def _x87_long_double() -> bool:
+    """numpy's long double is x87 extended: a 64-bit significand in 16 bytes."""
+    finfo = np.finfo(np.longdouble)
+    return finfo.nmant == 63 and finfo.dtype.itemsize == 16
+
+
+def _helper_pool():
+    """The single-worker executor, made on first use and again after a fork."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = (os.getpid(), ThreadPoolExecutor(max_workers=1))
+        return _helper[1]
+
+
+@contextlib.contextmanager
+def _unmatched_text_raises():
+    """numpy < 2 warns on unmatched text where numpy 2 raises ValueError.
+
+    The warning filter is process-wide, so it holds on the helper thread
+    too while the caller waits for it; numpy 2 touches no filter.
+    """
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        yield
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        yield
+
+
+def _strtold(rests: list[str], commas: bytes) -> np.ndarray | None:
+    """Cells of plain rows as long doubles; None unless the rows are plain.
+
+    Rows are plain when they hold only ASCII digits, signs, points and
+    exponent marks between commas, and their commas, row by row, are
+    ``commas``. This is all the helper thread runs: ``np.fromstring``
+    releases the interpreter lock while glibc ``strtold`` reads the cells.
+    """
+    data = "\n".join(rests).encode("ascii", "replace")
+    if data.translate(None, _NUMBER_BYTES) != commas:
+        return None
+    return np.fromstring(data.replace(b"\n", b","), dtype=np.longdouble, sep=",")
+
+
+def _inexact(out: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Round ``cells`` into ``out``; the indices where that may miss ``float``.
+
+    ``cells`` are correctly rounded to a 64-bit significand. Rounding them
+    on to 53 bits gives the correctly rounded double unless the value lies
+    on a double midpoint (low 11 significand bits 0x400), below the normal
+    doubles, where a double has fewer bits, or beyond the largest double
+    (Clinger, PLDI 1990).
+    """
+    out[...] = cells
+    words = cells.view(np.uint64)
+    significand, exponent = words[0::2], words[1::2] & np.uint64(0x7FFF)
+    redo = (significand & np.uint64(0x7FF)) == np.uint64(0x400)
+    redo |= (exponent < np.uint64(_X87_MIN_NORMAL_EXP)) & (significand != np.uint64(0))
+    redo |= ~np.isfinite(out)
+    return np.flatnonzero(redo)
+
+
+def _read_plain(rests: list[str], n: int) -> np.ndarray | None:
+    """Flow rows then footers as one vector in file order, or None.
+
+    Needs an x87 long double and a table of more than one chunk: on less,
+    waking the helper thread costs what it saves. The caller and the helper
+    parse alternate row chunks; the caller rounds every chunk to double and
+    re-reads with ``float`` the cells ``_inexact`` names. None, on rows
+    that are not plain or do not parse, leaves them to ``np.loadtxt`` and
+    the per-cell scan, which word every refusal.
+    """
+    if not _x87_long_double() or n * (n + 6) <= _CHUNK_CELLS:
+        return None
+    widths = [n + 4] * n + [n, n]
+    offsets = np.cumsum([0, *widths]).tolist()
+    # flow rows per chunk: at most _CHUNK_CELLS cells, and a chunk for each thread
+    step = max(1, min(_CHUNK_CELLS // (n + 4), -(-n // 2)))
+    cuts = [*range(0, n, step), n + 2]   # the footers close the last chunk
+    chunks = [(a, b, b"\n".join([b"," * (w - 1) for w in widths[a:b]])) for a, b in zip(cuts, cuts[1:])]
+    out = np.empty(offsets[-1])
+    pool = _helper_pool()
+    with _unmatched_text_raises(), np.errstate(over="ignore"):
+        helped = {i: pool.submit(_strtold, rests[a:b], commas)
+                  for i, (a, b, commas) in enumerate(chunks) if i % 2}
+        try:
+            for i, (a, b, commas) in enumerate(chunks):
+                cells = helped.pop(i).result() if i % 2 else _strtold(rests[a:b], commas)
+                lo, hi = offsets[a], offsets[b]
+                if cells is None or cells.size != hi - lo:
+                    return None
+                for j in (lo + _inexact(out[lo:hi], cells)).tolist():
+                    row = bisect.bisect_right(offsets, j, a, b) - 1
+                    out[j] = float(rests[row].split(",")[j - offsets[row]])
+        except (ValueError, DeprecationWarning):
+            return None
+        finally:
+            for future in helped.values():   # none left running after a return
+                if not future.cancel():
+                    future.exception()
+    return out
+
+
+def _refuse_non_finite(rows: list, names: tuple[str, ...], flows: np.ndarray, footers: np.ndarray) -> None:
+    """ParseError naming the first cell, in file order, that is not finite."""
+    finite = [np.isfinite(flows), np.isfinite(footers)]
+    if finite[0].all() and finite[1].all():
+        return
+    n = len(names)
+    k = int(np.argmin(np.concatenate([block.all(axis=1) for block in finite])))
+    j = int(np.argmin(finite[0][k] if k < n else finite[1][k - n]))
+    where = f"row {names[k]!r}" if k < n else f"footer {('T1', 'Z1')[k - n]}"
+    cell = _cells(rows[k][1])[j].strip()
+    raise ParseError(f"{where}, column {j + 1}: not a finite number: {cell!r}")
+
+
 def _read_numbers(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flow block (n x (n + 4)) and footers (2 x n) of the rows after the header.
 
-    With every label right, each block is one ``np.loadtxt`` call. It reads a
+    With every label right, plain rows go to ``_read_plain``; rows it does
+    not take are one ``np.loadtxt`` call per block. ``loadtxt`` reads a
     subset of the spellings ``float`` reads, to the same double, and a block
     of the right shape has the right cell count in every row. Otherwise the
     per-row scan words the first fault, or reads what only ``float`` takes.
@@ -171,6 +302,9 @@ def _read_numbers(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.nd
     rests = [rest for _, rest in rows]
     if ([first.strip() for first, _ in rows] == [*names, "T1", "Z1"]
             and all(isinstance(rest, str) for rest in rests) and "" not in rests):
+        cells = _read_plain(rests, n)
+        if cells is not None:
+            return cells[:n * (n + 4)].reshape(n, n + 4), cells[n * (n + 4):].reshape(2, n).copy()
         try:
             flows = np.loadtxt(rests[:n], delimiter=",", comments=None, ndmin=2)
             footers = np.loadtxt(rests[n:], delimiter=",", comments=None, ndmin=2)
@@ -185,11 +319,15 @@ def _read_numbers(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.nd
 def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
     """Parse a table from CSV text and validate it.
 
-    The numbers come from numpy's C parser, one ``np.loadtxt`` call for the
-    flow block and one for the footers. A per-cell ``float`` scan runs only
-    when ``loadtxt`` refuses a block: it names the bad cell, or it accepts a
-    spelling ``float`` reads and ``loadtxt`` does not, such as ``1_000``.
-    Text with quotes or carriage returns is split by ``csv`` and scanned.
+    Plain rows, of ASCII digits, signs, points and exponent marks between
+    commas, are read on two threads by numpy's long-double parser and
+    rounded to the double ``float`` reads. Other rows take one
+    ``np.loadtxt`` call per block, the flows and the footers. A per-cell
+    ``float`` scan runs only when ``loadtxt`` refuses a block: it names the
+    bad cell, or it accepts a spelling ``float`` reads and ``loadtxt`` does
+    not, such as ``1_000``. Text with quotes or carriage returns is split
+    by ``csv`` and scanned. A cell that reads as nan or infinity is refused
+    by name.
     """
     rows = _split_rows(text)
     if not rows:
@@ -207,6 +345,7 @@ def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
         raise ParseError(f"expected {n} data rows plus T1 and Z1 footers, got {len(rows) - 1} rows")
 
     flows, footers = _read_numbers(rows[1:], names)
+    _refuse_non_finite(rows[1:], names, flows, footers)
     # contiguous copies: the same memory layout the per-cell reader produced
     trailing = np.ascontiguousarray(flows[:, n:])
     table = IOTable(

@@ -116,6 +116,10 @@ def _is_positive_certificate(b1: np.ndarray, alpha: np.ndarray) -> bool:
     return bool(np.min(b1) > POSITIVE_TOL * top and np.min(alpha) > POSITIVE_TOL * top)
 
 
+# relative residual of the clearing equation that counts as cleared
+CLEARING_TOL = 1e-8
+
+
 def clearing_terms(value, cost) -> np.ndarray:
     """Terms value_i / cost_i of the clearing equation sum_i a_ki value_i / cost_i = x_k.
 

@@ -24,10 +24,19 @@ if TYPE_CHECKING:  # pragma: no cover
 COLUMN_SUM_TOL = 1e-6
 
 
-def _column_sums(t_value: Technology) -> np.ndarray:
+def _column_sums(t_value: Technology, ratios: np.ndarray | None = None) -> np.ndarray:
+    """Column sums s of A, strictly inside (0, 1).
+
+    Given the value-added shares ``ratios`` = Delta / X, s must also equal
+    1 - ratios within COLUMN_SUM_TOL.
+    """
     s = t_value.a.sum(axis=0)
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise HypothesisViolatedError("value-unit column sums must lie strictly inside (0, 1)")
+    if ratios is not None:
+        expected = 1.0 - ratios
+        if float(np.max(np.abs(s - expected))) > COLUMN_SUM_TOL * max(1.0, float(np.max(expected))):
+            raise HypothesisViolatedError("column sums disagree with 1 - Delta/X beyond tolerance")
     return s
 
 
@@ -74,12 +83,10 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
         raise ValueError("gross output must be strictly positive")
     if np.any(delta >= big_x):
         raise ValueError("value added must be below gross output")
-    s = _column_sums(t_value)
-    ratios = 1.0 - delta / big_x
-    if float(np.max(np.abs(s - ratios))) > COLUMN_SUM_TOL * max(1.0, float(np.max(ratios))):
-        raise HypothesisViolatedError("column sums disagree with 1 - Delta/X beyond tolerance")
+    shares = delta / big_x
+    _column_sums(t_value, shares)
     v0 = balanced_eigenvector(t_value)
-    factor = (v0 / big_x) * ratios
+    factor = (v0 / big_x) * (1.0 - shares)
     c0_max = 1.0 / float(np.max(factor))
     return TaxFamily(v0=v0, big_x=big_x, delta=delta, factor=factor, c0_max=c0_max)
 
@@ -138,9 +145,7 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
     reconstructed_x = None
     final_y = None
     if t_value is not None:
-        s = _column_sums(t_value)
-        if float(np.max(np.abs(s - (1.0 - ratios)))) > COLUMN_SUM_TOL:
-            raise HypothesisViolatedError("technology column sums disagree with 1 - ratios")
+        s = _column_sums(t_value, ratios)
         x0 = balanced_eigenvector(t_value)
         reconstructed_x = (s / (1.0 - pi)) * x0
         final_y = reconstructed_x - t_value.a @ reconstructed_x

@@ -1,3 +1,6 @@
+import decimal
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +21,7 @@ from ioequil.errors import BalanceError, ParseError
 from ioequil.real_economy import IOTable, balance_gaps
 
 from conftest import (
+    count_calls,
     data_path,
     loads_table_reference,
     seeded_table,
@@ -201,6 +205,17 @@ def assert_same_table(table: IOTable, reference: IOTable) -> None:
         assert got.tobytes() == want.tobytes(), field
 
 
+def assert_same_numbers(flows: np.ndarray, footers: np.ndarray, reference: IOTable) -> None:
+    """The number blocks bit-identical to a table's arrays, in file order."""
+    n = reference.n
+    trailing = (reference.consumption, reference.exports, reference.imports, reference.big_x)
+    assert flows.shape == (n, n + 4) and footers.shape == (2, n)
+    assert np.ascontiguousarray(flows[:, :n]).tobytes() == reference.z.tobytes()
+    for k, column in enumerate(trailing):
+        assert np.ascontiguousarray(flows[:, n + k]).tobytes() == column.tobytes()
+    assert footers.tobytes() == np.concatenate([reference.t1, reference.z1]).tobytes()
+
+
 class TestLoaderEquivalence:
     """The numpy reader returns what the per-cell reference loader returns."""
 
@@ -223,12 +238,22 @@ class TestLoaderEquivalence:
     ])
     @pytest.mark.parametrize("row", ["a,", "T1,"])
     def test_edge_cells(self, cell, value, row):
+        # every spelling parses as float reads it; a cell that is not a
+        # finite number is then refused by name
         text = edit((row + "0.2" if row == "a," else row + "0.25", row + cell))
-        table = loads_table(text, balance_tol=float("inf"))
-        assert_same_table(table, loads_table_reference(text, balance_tol=float("inf")))
-        got = table.z[0, 0] if row == "a," else table.t1[0]
+        reference = loads_table_reference(text, balance_tol=float("inf"))
+        flows, footers = real_economy._read_numbers(real_economy._split_rows(text)[1:], reference.names)
+        assert_same_numbers(flows, footers, reference)
+        got = flows[0, 0] if row == "a," else footers[0, 0]
         assert np.array_equal(got, value, equal_nan=True)
         assert np.signbit(got) == np.signbit(value)
+        if np.isfinite(value):
+            assert_same_table(loads_table(text, balance_tol=float("inf")), reference)
+        else:
+            with pytest.raises(ParseError) as err:
+                loads_table(text, balance_tol=float("inf"))
+            where = "row 'a'" if row == "a," else "footer T1"
+            assert str(err.value) == f"{where}, column 1: not a finite number: {cell.strip()!r}"
 
     def test_quoted_name_with_comma(self):
         text = (
@@ -263,6 +288,185 @@ class TestLoaderEquivalence:
         with pytest.raises(ParseError) as err:
             loads_table_reference(text)
         assert str(err.value) == message
+
+
+def plain_rows(cells: list[str]) -> tuple[list[str], int]:
+    """The cells, padded with zeros, as the rows after the labels of an n-sector table."""
+    n = 2
+    while n * (n + 6) < len(cells):
+        n += 1
+    cells = cells + ["0"] * (n * (n + 6) - len(cells))
+    widths = [n + 4] * n + [n, n]
+    ends = np.cumsum(widths).tolist()
+    return [",".join(cells[end - width:end]) for width, end in zip(widths, ends)], n
+
+
+def wide_table(**rests: str) -> str:
+    """A plain 100-sector table of one-digit cells, wide enough for the plain
+    reader; ``rests`` replaces the cells after the given row labels."""
+    n = 100
+    names = [f"s{k + 1}" for k in range(n)]
+    rows = {name: ",".join("1" * (n + 4)) for name in names} | {"T1": ",".join("1" * n), "Z1": ",".join("1" * n)}
+    rows.update(rests)
+    header = ",".join(["sector", *names, "C", "E", "I", "X"])
+    return "\n".join([header, *(f"{label},{rest}" for label, rest in rows.items())]) + "\n"
+
+
+def exactness_cells(rng: np.random.Generator) -> list[str]:
+    """Cells where a double rounding of the decimal would miss float's double."""
+    # repr of random doubles in every binade, subnormals and both signs included
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 4)
+    signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+    fractions = rng.integers(0, 1 << 52, exponents.size, dtype=np.uint64)
+    doubles = ((signs << np.uint64(63)) | (exponents << np.uint64(52)) | fractions).view(np.float64)
+    cells = [repr(float(v)) for v in doubles]
+    # exact decimal midpoints of adjacent doubles, one per binade, then 1e-40
+    # relative either side of each
+    nudge = decimal.Decimal("1e-40")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200       # every product below is exact
+        for v in doubles[::4][:-1]:
+            below = decimal.Decimal(float(v))
+            above = decimal.Decimal(float(np.nextafter(v, np.copysign(np.inf, v))))
+            mid = (below + above) / 2
+            cells += [f"{mid:e}", f"{mid * (1 - nudge):e}", f"{mid * (1 + nudge):e}"]
+        # the underflow midpoint 2**-1075 and the overflow threshold, the
+        # midpoint of DBL_MAX and 2**1024
+        for mid in (decimal.Decimal(2) ** -1075, decimal.Decimal(2 ** 1024 - 2 ** 970)):
+            cells += [f"{mid:e}", f"{mid * (1 - nudge):e}", f"{mid * (1 + nudge):e}"]
+    cells += [str(2 ** 53 + k) for k in range(-20, 21)] + [str(-(2 ** 53) - k) for k in range(20)]
+    cells += ["1.7976931348623157e+308", str(int(np.finfo(float).max)), "1.8e308", "1e309", "-1e400",
+              "4.9e-324", "2.4703282292062328e-324", "2.2250738585072014e-308", "1e-400"]
+    cells += ["-0", ".5", "5.", "+3", "1E5", "-2.5e+10", "0", "-0.0", "+.25", "007", "1e0005"]
+    whole = rng.integers(-10 ** 6, 10 ** 6, 2000)
+    places = rng.integers(0, 7, 2000)
+    cells += [f"{decimal.Decimal(int(w)).scaleb(-int(p))}" for w, p in zip(whole, places)]
+    return cells
+
+
+@pytest.mark.skipif(not real_economy._x87_long_double(), reason="the plain reader needs an x87 long double")
+class TestPlainReader:
+    """Plain rows are read by numpy's long-double parser on two threads."""
+
+    def test_every_cell_is_the_double_float_reads(self):
+        cells = exactness_cells(np.random.default_rng(28))
+        assert all(cell.strip("0123456789.+-eE") == "" for cell in cells)
+        rests, n = plain_rows(cells)
+        got = real_economy._read_plain(rests, n)
+        assert got is not None
+        want = np.array([float(cell) for cell in ",".join(rests).split(",")])
+        assert got.tobytes() == want.tobytes()
+
+    def test_plain_table_calls_neither_loadtxt_nor_the_scan(self, monkeypatch):
+        text = dumps_table(seeded_table(np.random.default_rng(5), 100, 0.3))
+
+        def refuse(*args):
+            raise AssertionError("per-cell scan on a plain table")
+        monkeypatch.setattr(real_economy, "_scan_rows", refuse)
+        loadtxt = count_calls(monkeypatch, np, "loadtxt")
+        table = loads_table(text)
+        assert loadtxt == []
+        monkeypatch.setattr(real_economy, "_x87_long_double", lambda: False)
+        assert_same_table(loads_table(text), table)
+        assert len(loadtxt) == 2
+
+    def test_twenty_loads_share_one_helper_thread(self, monkeypatch):
+        threads = set()
+        strtold = real_economy._strtold
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return strtold(*args)
+        monkeypatch.setattr(real_economy, "_strtold", recorded)
+        text = dumps_table(seeded_table(np.random.default_rng(6), 100, 1.0))
+        for _ in range(20):
+            loads_table(text)
+        assert len(threads - {threading.get_ident()}) == 1
+        assert len(real_economy._helper_pool()._threads) == 1
+
+    def test_concurrent_loads_share_the_helper_and_read_every_number(self, monkeypatch):
+        # more loading threads than cores and a short switch interval: every
+        # table still reads as the reference loader reads it, and one helper
+        # serves all of them
+        monkeypatch.setattr(real_economy, "_helper", None)
+        texts = [dumps_table(seeded_table(np.random.default_rng([7, k]), 100, 0.3)) for k in range(4)]
+        want = [loads_table_reference(text) for text in texts]
+        pools, errors = set(), []
+
+        def load(k):
+            try:
+                for _ in range(5):
+                    assert_same_table(loads_table(texts[k]), want[k])
+                    pools.add(id(real_economy._helper_pool()))
+            except Exception as exc:   # reported below, on the test's thread
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=load, args=(k % 4,)) for k in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == [] and len(pools) == 1
+        real_economy._helper_pool().shutdown()
+
+    def test_a_forked_child_makes_its_own_helper(self, monkeypatch):
+        parent = real_economy._helper_pool()
+        monkeypatch.setattr(real_economy, "_helper", (-1, parent))
+        child = real_economy._helper_pool()
+        try:
+            assert child is not parent
+            assert real_economy._helper_pool() is child
+        finally:
+            child.shutdown()
+
+    def test_small_table_is_left_to_loadtxt(self, monkeypatch):
+        # one chunk or less: waking the helper would cost what it saves
+        loadtxt = count_calls(monkeypatch, np, "loadtxt")
+        assert_same_table(loads_table(TOY), loads_table_reference(TOY))
+        assert len(loadtxt) == 2
+
+    @pytest.mark.parametrize("row, rest", [("s1", "0x1p3" + ",1" * 103), ("T1", "0x1p3" + ",1" * 99)])
+    def test_hex_cell_keeps_its_parse_error(self, row, rest):
+        # strtold reads 0x1p3 as 8, float refuses it
+        text = wide_table(**{row: rest})
+        assert real_economy._read_plain([rest for _, rest in real_economy._split_rows(text)[1:]], 100) is None
+        with pytest.raises(ParseError) as err:
+            loads_table(text)
+        where = "row 's1'" if row == "s1" else "footer T1"
+        assert str(err.value) == f"{where}, column 1: not a number: '0x1p3'"
+
+    @pytest.mark.parametrize("rests, message", [
+        ({"s5": "1,1,1e400" + ",1" * 101, "s2": ",".join("1" * 6) + ",-1e999" + ",1" * 97},
+         "row 's2', column 7: not a finite number: '-1e999'"),
+        ({"Z1": "1e400" + ",1" * 99, "T1": ",".join("1" * 99) + ",1e309"}, "footer T1, column 100: not a finite number: '1e309'"),
+    ])
+    def test_first_overflowing_cell_in_file_order_is_refused(self, rests, message):
+        text = wide_table(**rests)
+        assert real_economy._read_plain([rest for _, rest in real_economy._split_rows(text)[1:]], 100) is not None
+        with pytest.raises(ParseError) as err:
+            loads_table(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rests", [
+        {"s1": cell + ",1" * 103} for cell in ("1.2.3", "1e", "-", "+", ".", "e5", "1-2", "--1", "", "5e-")
+    ] + [
+        {"s1": "1,," + ",".join("1" * 102)}, {"s1": "1," * 103}, {"Z1": "1," * 99},
+        # a cell too many and one too few in one chunk, the right total
+        {"s1": ",".join("1" * 105), "s2": ",".join("1" * 103)},
+        {"s100": ",".join("1" * 105), "T1": ",".join("1" * 99)},
+    ])
+    def test_plain_bytes_that_do_not_parse_keep_their_error(self, rests):
+        text = wide_table(**rests)
+        with pytest.raises(ParseError) as want:
+            loads_table_reference(text)
+        with pytest.raises(ParseError) as got:
+            loads_table(text)
+        assert str(got.value) == str(want.value)
 
 
 class TestParseErrors:

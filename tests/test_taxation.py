@@ -85,6 +85,11 @@ class TestTaxBounds:
         assert hi == pytest.approx(1.6)
         assert report.witness_beta == pytest.approx(1.2)
 
+    def test_inconsistent_technology_rejected_as_the_family_rejects_it(self):
+        # the column sums 0.5 of SYM_VALUE are not 1 - 0.3
+        with pytest.raises(HypothesisViolatedError, match=r"^column sums disagree with 1 - Delta/X beyond tolerance$"):
+            tax_bounds([0.2, 0.2], [0.3, 0.3], t_value=SYM_VALUE)
+
     def test_infeasible_example(self):
         report = tax_bounds([0.1, 0.9], [0.5, 0.5])
         assert not report.feasible
