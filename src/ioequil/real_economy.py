@@ -20,7 +20,6 @@ import bisect
 import contextlib
 import csv
 import io
-import os
 import threading
 import warnings
 from dataclasses import dataclass
@@ -43,8 +42,6 @@ DEFAULT_BALANCE_TOL = 1e-6    # relative; statistical tables carry rounding nois
 _NUMBER_BYTES = b"0123456789.+-eE"
 _CHUNK_CELLS = 1 << 13
 _X87_MIN_NORMAL_EXP = 15361
-_helper = None   # (pid, executor): the one reader thread, made on first use
-_helper_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +86,13 @@ def balance_gaps(table: IOTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_table(table: IOTable, balance_tol: float = DEFAULT_BALANCE_TOL) -> None:
-    """Check positivity and both accounting identities; raise BalanceError."""
+    """Check finiteness, positivity and both accounting identities; raise BalanceError."""
+    for field in ("z", "big_x", "t1", "z1", "consumption", "exports", "imports"):
+        values = getattr(table, field)
+        if not np.isfinite(values).all():
+            at = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
+            where = " -> ".join(repr(table.names[k]) for k in at)
+            raise BalanceError(f"{field}[{where}] is not a finite number: {values[at]}")
     if np.any(table.big_x <= 0.0):
         bad = int(np.argmin(table.big_x))
         raise BalanceError(f"sector {table.names[bad]!r}: gross output must be strictly positive")
@@ -177,22 +180,12 @@ def _x87_long_double() -> bool:
     return finfo.nmant == 63 and finfo.dtype.itemsize == 16
 
 
-def _helper_pool():
-    """The single-worker executor, made on first use and again after a fork."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or _helper[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _helper = (os.getpid(), ThreadPoolExecutor(max_workers=1))
-        return _helper[1]
-
-
 @contextlib.contextmanager
 def _unmatched_text_raises():
     """numpy < 2 warns on unmatched text where numpy 2 raises ValueError.
 
-    The warning filter is process-wide, so it holds on the helper thread
-    too while the caller waits for it; numpy 2 touches no filter.
+    The filter is process-wide: entered once, on the caller, it holds on
+    the worker too. numpy 2 touches no filter.
     """
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
         yield
@@ -202,17 +195,16 @@ def _unmatched_text_raises():
         yield
 
 
-def _strtold(rests: list[str], commas: bytes) -> np.ndarray | None:
-    """Cells of plain rows as long doubles; None unless the rows are plain.
+def _strtold(rests: list[str], commas: bytes) -> np.ndarray:
+    """Cells of plain rows as long doubles; ValueError unless the rows are plain.
 
     Rows are plain when they hold only ASCII digits, signs, points and
     exponent marks between commas, and their commas, row by row, are
-    ``commas``. This is all the helper thread runs: ``np.fromstring``
-    releases the interpreter lock while glibc ``strtold`` reads the cells.
+    ``commas``. glibc ``strtold`` reads the cells without the interpreter lock.
     """
     data = "\n".join(rests).encode("ascii", "replace")
     if data.translate(None, _NUMBER_BYTES) != commas:
-        return None
+        raise ValueError("rows are not plain")
     return np.fromstring(data.replace(b"\n", b","), dtype=np.longdouble, sep=",")
 
 
@@ -237,42 +229,53 @@ def _inexact(out: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def _read_plain(rests: list[str], n: int) -> np.ndarray | None:
     """Flow rows then footers as one vector in file order, or None.
 
-    Needs an x87 long double and a table of more than one chunk: on less,
-    waking the helper thread costs what it saves. The caller and the helper
-    parse alternate row chunks; the caller rounds every chunk to double and
-    re-reads with ``float`` the cells ``_inexact`` names. None, on rows
+    Needs an x87 long double, which the caller checks. The caller reads a
+    table of one chunk alone; for more it starts one worker, and each thread
+    claims the next row chunk until none is left, rounds it to double and
+    re-reads with ``float`` the cells ``_inexact`` names. The worker is
+    joined before return, and what it raised is raised here. None, on rows
     that are not plain or do not parse, leaves them to ``np.loadtxt`` and
-    the per-cell scan, which word every refusal.
+    the per-cell scan.
     """
-    if not _x87_long_double() or n * (n + 6) <= _CHUNK_CELLS:
-        return None
     widths = [n + 4] * n + [n, n]
     offsets = np.cumsum([0, *widths]).tolist()
-    # flow rows per chunk: at most _CHUNK_CELLS cells, and a chunk for each thread
-    step = max(1, min(_CHUNK_CELLS // (n + 4), -(-n // 2)))
+    # flow rows per chunk: all of them when the table fits in one chunk, else
+    # at most _CHUNK_CELLS cells and at least two chunks
+    step = n if n * (n + 6) <= _CHUNK_CELLS else max(1, min(_CHUNK_CELLS // (n + 4), -(-n // 2)))
     cuts = [*range(0, n, step), n + 2]   # the footers close the last chunk
-    chunks = [(a, b, b"\n".join([b"," * (w - 1) for w in widths[a:b]])) for a, b in zip(cuts, cuts[1:])]
+    claims, lock = iter(zip(cuts, cuts[1:])), threading.Lock()
     out = np.empty(offsets[-1])
-    pool = _helper_pool()
-    with _unmatched_text_raises(), np.errstate(over="ignore"):
-        helped = {i: pool.submit(_strtold, rests[a:b], commas)
-                  for i, (a, b, commas) in enumerate(chunks) if i % 2}
+    faults = []   # what a thread raised; ValueError: rows that are not plain or do not parse
+
+    def read() -> None:
         try:
-            for i, (a, b, commas) in enumerate(chunks):
-                cells = helped.pop(i).result() if i % 2 else _strtold(rests[a:b], commas)
-                lo, hi = offsets[a], offsets[b]
-                if cells is None or cells.size != hi - lo:
-                    return None
-                for j in (lo + _inexact(out[lo:hi], cells)).tolist():
-                    row = bisect.bisect_right(offsets, j, a, b) - 1
-                    out[j] = float(rests[row].split(",")[j - offsets[row]])
-        except (ValueError, DeprecationWarning):
-            return None
-        finally:
-            for future in helped.values():   # none left running after a return
-                if not future.cancel():
-                    future.exception()
-    return out
+            with np.errstate(over="ignore"):   # thread-local: each thread sets its own
+                while not faults:
+                    with lock:
+                        a, b = next(claims, (0, 0))
+                    if a == b:
+                        return
+                    lo, hi = offsets[a], offsets[b]
+                    cells = _strtold(rests[a:b], b"\n".join([b"," * (w - 1) for w in widths[a:b]]))
+                    if cells.size != hi - lo:
+                        raise ValueError("a chunk with a cell too many or too few")
+                    for j in (lo + _inexact(out[lo:hi], cells)).tolist():
+                        row = bisect.bisect_right(offsets, j, a, b) - 1
+                        out[j] = float(rests[row].split(",")[j - offsets[row]])
+        except BaseException as exc:   # judged on the caller after the join
+            faults.append(exc)
+
+    worker = threading.Thread(target=read) if len(cuts) > 2 else None
+    with _unmatched_text_raises():
+        if worker:
+            worker.start()
+        read()
+        if worker:
+            worker.join()
+    for fault in faults:
+        if not isinstance(fault, (ValueError, DeprecationWarning)):
+            raise fault
+    return None if faults else out
 
 
 def _refuse_non_finite(rows: list, names: tuple[str, ...], flows: np.ndarray, footers: np.ndarray) -> None:
@@ -291,26 +294,23 @@ def _refuse_non_finite(rows: list, names: tuple[str, ...], flows: np.ndarray, fo
 def _read_numbers(rows: list, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flow block (n x (n + 4)) and footers (2 x n) of the rows after the header.
 
-    With every label right, plain rows go to ``_read_plain``; rows it does
-    not take are one ``np.loadtxt`` call per block. ``loadtxt`` reads a
-    subset of the spellings ``float`` reads, to the same double, and a block
-    of the right shape has the right cell count in every row. Otherwise the
-    per-row scan words the first fault, or reads what only ``float`` takes.
+    With every label right, rows go to ``_read_plain``; rows it does not
+    take are one ``np.loadtxt`` call per block. ``loadtxt`` reads a subset
+    of the spellings ``float`` reads, to the same double, and a block of the
+    right shape has the right cell count in every row. Otherwise the per-row
+    scan words the first fault, or reads what only ``float`` takes.
     ``comments=None`` keeps ``2#x`` an error.
     """
     n = len(names)
     rests = [rest for _, rest in rows]
     if ([first.strip() for first, _ in rows] == [*names, "T1", "Z1"]
             and all(isinstance(rest, str) for rest in rests) and "" not in rests):
-        cells = _read_plain(rests, n)
+        cells = _read_plain(rests, n) if _x87_long_double() else None
         if cells is not None:
             return cells[:n * (n + 4)].reshape(n, n + 4), cells[n * (n + 4):].reshape(2, n).copy()
-        try:
+        with contextlib.suppress(ValueError):
             flows = np.loadtxt(rests[:n], delimiter=",", comments=None, ndmin=2)
             footers = np.loadtxt(rests[n:], delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
             if flows.shape == (n, n + 4) and footers.shape == (2, n):
                 return flows, footers
     return _scan_rows(rows, names)
@@ -320,14 +320,13 @@ def loads_table(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
     """Parse a table from CSV text and validate it.
 
     Plain rows, of ASCII digits, signs, points and exponent marks between
-    commas, are read on two threads by numpy's long-double parser and
-    rounded to the double ``float`` reads. Other rows take one
-    ``np.loadtxt`` call per block, the flows and the footers. A per-cell
-    ``float`` scan runs only when ``loadtxt`` refuses a block: it names the
-    bad cell, or it accepts a spelling ``float`` reads and ``loadtxt`` does
-    not, such as ``1_000``. Text with quotes or carriage returns is split
-    by ``csv`` and scanned. A cell that reads as nan or infinity is refused
-    by name.
+    commas, are read by numpy's long-double parser and rounded to the double
+    ``float`` reads, with one worker thread, joined before return, on a
+    table of more than one chunk. Other rows take one ``np.loadtxt`` call
+    per block. A per-cell ``float`` scan runs only when ``loadtxt`` refuses
+    a block: it names the bad cell, or reads a spelling only ``float``
+    takes, such as ``1_000``. Text with quotes or carriage returns is split
+    by ``csv`` and scanned. A cell that reads as nan or infinity is refused.
     """
     rows = _split_rows(text)
     if not rows:

@@ -838,8 +838,8 @@ def solve_min_excess_ldp_reference(a: Technology | np.ndarray, b: np.ndarray) ->
 # took its numbers from np.loadtxt: csv rows, stripped cells and one float()
 # per cell. It pins the new loader's arrays and every ParseError message.
 
-def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -> IOTable:
-    """Parse a table from CSV text and validate it."""
+def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL, *, validate: bool = True) -> IOTable:
+    """Parse a table from CSV text and, unless ``validate`` is False, validate it."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("empty table")
@@ -895,7 +895,8 @@ def loads_table_reference(text: str, balance_tol: float = DEFAULT_BALANCE_TOL) -
         exports=trailing[:, 1],
         imports=trailing[:, 2],
     )
-    validate_table(table, balance_tol)
+    if validate:
+        validate_table(table, balance_tol)
     return table
 
 

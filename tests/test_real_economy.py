@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import sys
 import threading
@@ -111,6 +112,21 @@ class TestLoader:
         assert np.allclose(col_gap, [0.0, 0.0], atol=1e-15)
         with pytest.raises(BalanceError, match="= -0.01$"):
             loads_table(text)
+
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("t1", 0, np.nan, "t1['agri'] is not a finite number: nan"),
+        ("big_x", 0, np.inf, "big_x['agri'] is not a finite number: inf"),
+        ("exports", 1, -np.inf, "exports['industry'] is not a finite number: -inf"),
+        ("z", (1, 0), np.nan, "z['industry' -> 'agri'] is not a finite number: nan"),
+    ])
+    def test_validate_table_refuses_non_finite_numbers(self, field, index, value, message):
+        # a table built in code, not loaded: refused before any gap is computed
+        table = load_table(data_path("toy2.csv"))
+        values = getattr(table, field).copy()
+        values[index] = value
+        with pytest.raises(BalanceError) as err:
+            real_economy.validate_table(dataclasses.replace(table, **{field: values}))
+        assert str(err.value) == message
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):
@@ -241,7 +257,7 @@ class TestLoaderEquivalence:
         # every spelling parses as float reads it; a cell that is not a
         # finite number is then refused by name
         text = edit((row + "0.2" if row == "a," else row + "0.25", row + cell))
-        reference = loads_table_reference(text, balance_tol=float("inf"))
+        reference = loads_table_reference(text, validate=False)
         flows, footers = real_economy._read_numbers(real_economy._split_rows(text)[1:], reference.names)
         assert_same_numbers(flows, footers, reference)
         got = flows[0, 0] if row == "a," else footers[0, 0]
@@ -301,15 +317,28 @@ def plain_rows(cells: list[str]) -> tuple[list[str], int]:
     return [",".join(cells[end - width:end]) for width, end in zip(widths, ends)], n
 
 
-def wide_table(**rests: str) -> str:
-    """A plain 100-sector table of one-digit cells, wide enough for the plain
-    reader; ``rests`` replaces the cells after the given row labels."""
-    n = 100
+def ones(k: int) -> str:
+    return ",".join("1" * k)
+
+
+# a table of two chunks and one of one chunk (n(n + 6) <= 8,192 cells)
+PLAIN_WIDTHS = [100, 87]
+# cells of plain bytes that float refuses
+PLAIN_NON_NUMBERS = ("1.2.3", "1e", "-", "+", ".", "e5", "1-2", "--1", "", "5e-")
+
+
+def wide_table(n: int, **rests: str) -> str:
+    """A plain n-sector table of one-digit cells; ``rests`` replaces the
+    cells after the given row labels."""
     names = [f"s{k + 1}" for k in range(n)]
-    rows = {name: ",".join("1" * (n + 4)) for name in names} | {"T1": ",".join("1" * n), "Z1": ",".join("1" * n)}
+    rows = {name: ones(n + 4) for name in names} | {"T1": ones(n), "Z1": ones(n)}
     rows.update(rests)
     header = ",".join(["sector", *names, "C", "E", "I", "X"])
     return "\n".join([header, *(f"{label},{rest}" for label, rest in rows.items())]) + "\n"
+
+
+def plain_rests(text: str) -> list[str]:
+    return [rest for _, rest in real_economy._split_rows(text)[1:]]
 
 
 def exactness_cells(rng: np.random.Generator) -> list[str]:
@@ -346,16 +375,21 @@ def exactness_cells(rng: np.random.Generator) -> list[str]:
 
 @pytest.mark.skipif(not real_economy._x87_long_double(), reason="the plain reader needs an x87 long double")
 class TestPlainReader:
-    """Plain rows are read by numpy's long-double parser on two threads."""
+    """Plain rows are read by numpy's long-double parser: on the calling
+    thread for one chunk, and on it and one worker per load for more."""
 
-    def test_every_cell_is_the_double_float_reads(self):
+    @pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one chunk"])
+    def test_every_cell_is_the_double_float_reads(self, one_chunk):
         cells = exactness_cells(np.random.default_rng(28))
         assert all(cell.strip("0123456789.+-eE") == "" for cell in cells)
-        rests, n = plain_rows(cells)
-        got = real_economy._read_plain(rests, n)
-        assert got is not None
-        want = np.array([float(cell) for cell in ",".join(rests).split(",")])
-        assert got.tobytes() == want.tobytes()
+        size = 87 * 93 if one_chunk else len(cells)
+        for start in range(0, len(cells), size):
+            rests, n = plain_rows(cells[start:start + size])
+            assert (n * (n + 6) <= real_economy._CHUNK_CELLS) == one_chunk
+            got = real_economy._read_plain(rests, n)
+            assert got is not None
+            want = np.array([float(cell) for cell in ",".join(rests).split(",")])
+            assert got.tobytes() == want.tobytes()
 
     def test_plain_table_calls_neither_loadtxt_nor_the_scan(self, monkeypatch):
         text = dumps_table(seeded_table(np.random.default_rng(5), 100, 0.3))
@@ -370,34 +404,54 @@ class TestPlainReader:
         assert_same_table(loads_table(text), table)
         assert len(loadtxt) == 2
 
-    def test_twenty_loads_share_one_helper_thread(self, monkeypatch):
-        threads = set()
-        strtold = real_economy._strtold
+    @pytest.mark.parametrize("n, started", [(2, 0), (60, 0), (87, 0), (88, 1)])
+    def test_one_chunk_table_makes_no_loadtxt_call_and_starts_no_thread(self, monkeypatch, n, started):
+        # n(n + 6) <= 8,192 cells: the calling thread reads the table alone
+        text = TOY if n == 2 else dumps_table(seeded_table(np.random.default_rng([8, n]), n, 0.3))
+        loadtxt = count_calls(monkeypatch, np, "loadtxt")
+        thread, threads = threading.Thread, []
 
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            return strtold(*args)
-        monkeypatch.setattr(real_economy, "_strtold", recorded)
+        def recorded(*args, **kwargs):
+            threads.append(thread(*args, **kwargs))
+            return threads[-1]
+        monkeypatch.setattr(threading, "Thread", recorded)
+        assert_same_table(loads_table(text), loads_table_reference(text))
+        assert loadtxt == [] and len(threads) == started
+
+    def test_no_thread_outlives_a_load(self, monkeypatch):
+        # a plain load, a refused load, and a load whose worker raised
         text = dumps_table(seeded_table(np.random.default_rng(6), 100, 1.0))
-        for _ in range(20):
-            loads_table(text)
-        assert len(threads - {threading.get_ident()}) == 1
-        assert len(real_economy._helper_pool()._threads) == 1
+        before = threading.enumerate()
+        assert_same_table(loads_table(text), loads_table_reference(text))
+        assert threading.enumerate() == before
+        with pytest.raises(ParseError):
+            loads_table(wide_table(100, s1="0x1p3," + ones(103)))
+        assert threading.enumerate() == before
 
-    def test_concurrent_loads_share_the_helper_and_read_every_number(self, monkeypatch):
+        caller, inexact, worker_ran = threading.current_thread(), real_economy._inexact, threading.Event()
+
+        def off_the_caller(out, cells):
+            if threading.current_thread() is caller:
+                worker_ran.wait(timeout=30)   # the worker claims a chunk first
+                return inexact(out, cells)
+            worker_ran.set()
+            raise RuntimeError("worker fault")
+        monkeypatch.setattr(real_economy, "_inexact", off_the_caller)
+        with pytest.raises(RuntimeError, match="worker fault"):
+            loads_table(text)
+        assert threading.enumerate() == before
+
+    def test_concurrent_loads_read_every_number(self):
         # more loading threads than cores and a short switch interval: every
-        # table still reads as the reference loader reads it, and one helper
-        # serves all of them
-        monkeypatch.setattr(real_economy, "_helper", None)
+        # table still reads as the reference loader reads it
         texts = [dumps_table(seeded_table(np.random.default_rng([7, k]), 100, 0.3)) for k in range(4)]
         want = [loads_table_reference(text) for text in texts]
-        pools, errors = set(), []
+        errors = []
 
         def load(k):
             try:
                 for _ in range(5):
                     assert_same_table(loads_table(texts[k]), want[k])
-                    pools.add(id(real_economy._helper_pool()))
             except Exception as exc:   # reported below, on the test's thread
                 errors.append(exc)
         interval = sys.getswitchinterval()
@@ -411,57 +465,48 @@ class TestPlainReader:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert errors == [] and len(pools) == 1
-        real_economy._helper_pool().shutdown()
+        assert errors == []
 
-    def test_a_forked_child_makes_its_own_helper(self, monkeypatch):
-        parent = real_economy._helper_pool()
-        monkeypatch.setattr(real_economy, "_helper", (-1, parent))
-        child = real_economy._helper_pool()
-        try:
-            assert child is not parent
-            assert real_economy._helper_pool() is child
-        finally:
-            child.shutdown()
-
-    def test_small_table_is_left_to_loadtxt(self, monkeypatch):
-        # one chunk or less: waking the helper would cost what it saves
-        loadtxt = count_calls(monkeypatch, np, "loadtxt")
-        assert_same_table(loads_table(TOY), loads_table_reference(TOY))
-        assert len(loadtxt) == 2
-
-    @pytest.mark.parametrize("row, rest", [("s1", "0x1p3" + ",1" * 103), ("T1", "0x1p3" + ",1" * 99)])
-    def test_hex_cell_keeps_its_parse_error(self, row, rest):
+    @pytest.mark.parametrize("n", PLAIN_WIDTHS)
+    @pytest.mark.parametrize("row, extra", [("s1", 4), ("T1", 0)])
+    def test_hex_cell_keeps_its_parse_error(self, row, extra, n):
         # strtold reads 0x1p3 as 8, float refuses it
-        text = wide_table(**{row: rest})
-        assert real_economy._read_plain([rest for _, rest in real_economy._split_rows(text)[1:]], 100) is None
+        text = wide_table(n, **{row: "0x1p3," + ones(n - 1 + extra)})
+        assert real_economy._read_plain(plain_rests(text), n) is None
         with pytest.raises(ParseError) as err:
             loads_table(text)
         where = "row 's1'" if row == "s1" else "footer T1"
         assert str(err.value) == f"{where}, column 1: not a number: '0x1p3'"
 
+    @pytest.mark.parametrize("n", PLAIN_WIDTHS)
     @pytest.mark.parametrize("rests, message", [
-        ({"s5": "1,1,1e400" + ",1" * 101, "s2": ",".join("1" * 6) + ",-1e999" + ",1" * 97},
+        # an overflow in each chunk of the wide table, so each thread meets one
+        (lambda n: {"s5": "1,1,1e400," + ones(n + 1), "s2": ones(6) + ",-1e999," + ones(n - 3),
+                    "s60": "1e400," + ones(n + 3)},
          "row 's2', column 7: not a finite number: '-1e999'"),
-        ({"Z1": "1e400" + ",1" * 99, "T1": ",".join("1" * 99) + ",1e309"}, "footer T1, column 100: not a finite number: '1e309'"),
-    ])
-    def test_first_overflowing_cell_in_file_order_is_refused(self, rests, message):
-        text = wide_table(**rests)
-        assert real_economy._read_plain([rest for _, rest in real_economy._split_rows(text)[1:]], 100) is not None
+        (lambda n: {"Z1": "1e400," + ones(n - 1), "T1": ones(n - 1) + ",1e309"},
+         "footer T1, column {n}: not a finite number: '1e309'"),
+    ], ids=["flow rows", "footers"])
+    def test_first_overflowing_cell_in_file_order_is_refused(self, rests, message, n):
+        text = wide_table(n, **rests(n))
+        assert real_economy._read_plain(plain_rests(text), n) is not None
         with pytest.raises(ParseError) as err:
             loads_table(text)
-        assert str(err.value) == message
+        assert str(err.value) == message.format(n=n)
 
+    @pytest.mark.parametrize("n", PLAIN_WIDTHS)
     @pytest.mark.parametrize("rests", [
-        {"s1": cell + ",1" * 103} for cell in ("1.2.3", "1e", "-", "+", ".", "e5", "1-2", "--1", "", "5e-")
+        lambda n, cell=cell: {"s1": f"{cell}," + ones(n + 3)} for cell in PLAIN_NON_NUMBERS
     ] + [
-        {"s1": "1,," + ",".join("1" * 102)}, {"s1": "1," * 103}, {"Z1": "1," * 99},
+        lambda n: {"s1": "1,," + ones(n + 2)}, lambda n: {"s1": "1," * (n + 3)}, lambda n: {"Z1": "1," * (n - 1)},
         # a cell too many and one too few in one chunk, the right total
-        {"s1": ",".join("1" * 105), "s2": ",".join("1" * 103)},
-        {"s100": ",".join("1" * 105), "T1": ",".join("1" * 99)},
+        lambda n: {"s1": ones(n + 5), "s2": ones(n + 3)},
+        lambda n: {f"s{n}": ones(n + 5), "T1": ones(n - 1)},
+    ], ids=[f"cell {cell!r}" for cell in PLAIN_NON_NUMBERS] + [
+        "empty cell", "trailing comma", "trailing footer comma", "long and short row", "long row and short footer",
     ])
-    def test_plain_bytes_that_do_not_parse_keep_their_error(self, rests):
-        text = wide_table(**rests)
+    def test_plain_bytes_that_do_not_parse_keep_their_error(self, rests, n):
+        text = wide_table(n, **rests(n))
         with pytest.raises(ParseError) as want:
             loads_table_reference(text)
         with pytest.raises(ParseError) as got:
