@@ -20,6 +20,10 @@ minimum-excess QP's start reads. The coordinates of a vector in a set
 of independent columns come from one least-squares solve
 (``np.linalg.lstsq``); the columns first pass the full-column-rank check,
 and a separate max-norm residual test decides span membership.
+Five square solves skip ``nonsingular_lu`` for plain ``np.linalg.solve``:
+``is_productive``, ``leontief_solve``, ``aggregation.relative_prices``, the
+Noda step and ``inequality_solution``'s polish. ``check`` and ``aggregate``
+load no scipy, and Noda's ``hi E - A`` is near-singular by design.
 
 Fixed-point policy: a Perron vector whose multiplier is known to be one
 is one verified LU solve, ``perron_vector``, with exact zeros on zero rows

@@ -21,7 +21,6 @@ import contextlib
 import csv
 import io
 import threading
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -180,21 +179,6 @@ def _x87_long_double() -> bool:
     return finfo.nmant == 63 and finfo.dtype.itemsize == 16
 
 
-@contextlib.contextmanager
-def _unmatched_text_raises():
-    """numpy < 2 warns on unmatched text where numpy 2 raises ValueError.
-
-    The filter is process-wide: entered once, on the caller, it holds on
-    the worker too. numpy 2 touches no filter.
-    """
-    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-        yield
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        yield
-
-
 def _strtold(rests: list[str], commas: bytes) -> np.ndarray:
     """Cells of plain rows as long doubles; ValueError unless the rows are plain.
 
@@ -213,16 +197,15 @@ def _inexact(out: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     ``cells`` are correctly rounded to a 64-bit significand. Rounding them
     on to 53 bits gives the correctly rounded double unless the value lies
-    on a double midpoint (low 11 significand bits 0x400), below the normal
-    doubles, where a double has fewer bits, or beyond the largest double
-    (Clinger, PLDI 1990).
+    on a double midpoint (low 11 significand bits 0x400) or below the normal
+    doubles, where a double has fewer bits (Clinger, PLDI 1990). The overflow
+    threshold is such a midpoint, so overflow needs no case of its own.
     """
     out[...] = cells
     words = cells.view(np.uint64)
     significand, exponent = words[0::2], words[1::2] & np.uint64(0x7FFF)
     redo = (significand & np.uint64(0x7FF)) == np.uint64(0x400)
     redo |= (exponent < np.uint64(_X87_MIN_NORMAL_EXP)) & (significand != np.uint64(0))
-    redo |= ~np.isfinite(out)
     return np.flatnonzero(redo)
 
 
@@ -266,14 +249,13 @@ def _read_plain(rests: list[str], n: int) -> np.ndarray | None:
             faults.append(exc)
 
     worker = threading.Thread(target=read) if len(cuts) > 2 else None
-    with _unmatched_text_raises():
-        if worker:
-            worker.start()
-        read()
-        if worker:
-            worker.join()
+    if worker:
+        worker.start()
+    read()
+    if worker:
+        worker.join()
     for fault in faults:
-        if not isinstance(fault, (ValueError, DeprecationWarning)):
+        if not isinstance(fault, ValueError):
             raise fault
     return None if faults else out
 

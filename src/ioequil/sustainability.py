@@ -78,16 +78,15 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
 
     Solves A b1 = x (on the cached LU of a nonsingular A) and declares the
     mode sustainable when b1 and alpha = b1 - A b1 are strictly positive
-    relative to max |b1|. On success the simplex price vector and positive
-    value-added margins of the constructive proof are attached.
+    relative to max |b1|; such a b1 proves rho(A) < 1, so productivity needs
+    no check. On success the simplex price vector and positive value-added
+    margins of the constructive proof are attached.
     """
     x = _vector(x, "gross output")
     if x.shape[0] != t.n:
         raise ValueError("gross output length does not match sector count")
     if np.any(x <= 0.0):
         raise ValueError("gross output must be strictly positive")
-    if not t.productive:
-        raise HypothesisViolatedError("sustainability test requires a productive matrix")
     if not t.indecomposable:
         raise DecomposableError("sustainability test requires an indecomposable matrix")
 

@@ -188,6 +188,17 @@ class TestCheck:
         assert any(d.startswith("row balance off by relative 0.01") for d in doc["diagnostics"])
         assert not any("column balance" in d for d in doc["diagnostics"])
 
+    def test_column_imbalance_reported_not_raised(self, capsys, tmp_path):
+        # toy2 with T1 of agri raised by 0.01: only the column identity breaks
+        path = tmp_path / "column-imbalanced.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace("T1,0.25,", "T1,0.26,"))
+        code, doc = run_json(capsys, ["check", str(path), "--format", "json"])
+        assert code == 1
+        assert doc["results"]["column_balance_gap"] == pytest.approx(0.01)
+        assert doc["results"]["row_balance_gap"] == 0.0
+        assert doc["results"]["productive"] and doc["results"]["indecomposable"]
+        assert doc["diagnostics"] == ["column balance off by relative 0.01"]
+
     def test_unproductive_note_makes_no_claim_on_the_radius(self, capsys, tmp_path):
         # A = (1 - 1e-11) P for a column-stochastic P: rho = 1 - 1e-11 < 1, but
         # max (E - A)^-1 1 exceeds 1 / POSITIVE_TOL, so the solve calls it not productive
@@ -482,6 +493,19 @@ class TestAggregate:
         assert code == 0
         assert doc["results"]["coarse_sectors"] == 3
 
+    @pytest.mark.parametrize("text, err", [
+        ("1 1\n2\n", "{path}:2: expected 'fine coarse', got '2'"),
+        ("1 1 # pair\n2 one\n", "{path}:2: non-integer index in '2 one'"),
+        ("0 1\n", "{path}:1: indices are 1-based and positive"),
+        ("# no pairs\n\n", "{path}: empty aggregation map"),
+        ("1 1\n2 1\n3 3\n", "every coarse sector needs at least one preimage"),
+    ], ids=["not a pair", "non-integer", "zero index", "empty", "no preimage"])
+    def test_bad_map_exits_two_with_one_error_line(self, capsys, toy3, tmp_path, text, err):
+        path = tmp_path / "bad.map"
+        path.write_text(text)
+        assert main(["aggregate", str(toy3), str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err.format(path=path)}\n")
+
     def test_delta_hat_flag(self, capsys, toy3, map32):
         code, doc = run_json(
             capsys,
@@ -607,6 +631,16 @@ class TestExitCodes:
         assert main(["tax", str(path), "bounds"]) == 1
         assert capsys.readouterr().err == "error: taxation component 0 must lie in [0, 1)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "{toy3}", "--alpha", "1,x"],
+        ["aggregate", "{toy3}", "{map32}", "--delta-hat", "0.5,y"],
+    ], ids=["alpha", "delta-hat"])
+    def test_comma_list_that_is_not_numbers_exits_two(self, capsys, toy3, map32, argv):
+        flag, value = argv[-2:]
+        assert main([arg.format(toy3=toy3, map32=map32) for arg in argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {flag}: expected a comma-separated list of numbers, got {value!r}\n")
+
     def test_unknown_seed_flag_rejected(self, toy2):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", str(toy2), "--seed", "1"])
@@ -675,8 +709,17 @@ SUBSIDISED_CSV = (
 )
 SUBSIDY_OBSERVED = "observed taxation T1/Delta of sector 'agri' must lie in [0, 1)"
 SUBSIDY_BOUNDS = "taxation component 0 must lie in [0, 1)"
+# column sums 1.1, so rho(A) = 1.1 and Delta < 0: no sustainable certificate
+# exists, and the existing-tax analysis refuses the negative value added
+UNPRODUCTIVE_CSV = (
+    "sector,a,b,C,E,I,X\n"
+    "a,0.5,0.6,0,0,0.1,1\n"
+    "b,0.6,0.5,0,0,0.1,1\n"
+    "T1,-0.05,-0.05\nZ1,-0.05,-0.05\n"
+)
+NEGATIVE_VALUE_ADDED = "sector 'a' has non-positive value added"
 HYPOTHESIS_TABLES = {"isolated": ISOLATED_SECTOR_CSV, "zero-delta": ZERO_VALUE_ADDED_CSV,
-                     "subsidised": SUBSIDISED_CSV}
+                     "subsidised": SUBSIDISED_CSV, "unproductive": UNPRODUCTIVE_CSV}
 
 
 class TestHypothesisFailures:
@@ -705,6 +748,8 @@ class TestHypothesisFailures:
             ("subsidised", ["tax", "best"], 0, None),
             ("subsidised", ["tax", "bounds"], 1, SUBSIDY_BOUNDS),
             ("subsidised", ["tax", "value-added"], 0, None),
+            ("unproductive", ["check"], 1, None),
+            ("unproductive", ["sustainable"], 1, NEGATIVE_VALUE_ADDED),
         ]
     ])
     def test_exit_code_and_single_error_line(self, capsys, tmp_path, table, argv, code, err):
@@ -814,7 +859,9 @@ class TestFactsDecidedOnce:
         (t,) = own
         assert sum(x is t or (isinstance(x, np.ndarray) and np.shares_memory(x, t.a))
                    for x in indecomposable) <= 1
-        assert len(productive) <= 1
+        # check reports productivity and aggregate's relative prices need it;
+        # a sustainable certificate implies it, so no other command asks
+        assert len(productive) == (argv[0] in ("check", "aggregate"))
         # the sustainability solve and the QP start share the one LU of A
         assert sum(x.shape == a.shape and np.array_equal(x, a) for x in factored) <= 1
 

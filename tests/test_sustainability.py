@@ -14,6 +14,7 @@ from conftest import (
     data_path,
     dependent_columns,
     positive_certificate_reference,
+    random_indecomposable,
     random_productive,
     record_calls,
     singular_intermediate_reference,
@@ -85,9 +86,22 @@ class TestCheckSustainable:
             assert np.all(ratio > 1.0)
             assert np.max(np.abs(ratio - oracle)) < 1e-8
 
-    def test_not_productive_rejected(self):
-        with pytest.raises(HypothesisViolatedError, match=r"sustainability test requires a productive matrix"):
-            check_sustainable(Technology([[0.5, 0.6], [0.6, 0.5]]), [1.0, 1.0])
+    def test_not_productive_is_not_sustainable(self, rng):
+        # for b1 > 0, max (A b1 / b1) >= rho(A) (Collatz-Wielandt), so rho >= 1
+        # leaves some alpha_i = b1_i - (A b1)_i <= 0: the verdict is negative,
+        # not a refusal. x = A b1 for a positive b1 passes every step but alpha
+        cases = [(Technology([[0.5, 0.6], [0.6, 0.5]]), np.ones(2)),
+                 (Technology([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))]   # singular, rho = 2
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            a = random_indecomposable(rng, n, density=float(rng.uniform(0.3, 1.0)))
+            a *= rng.uniform(1.0, 2.0) / spectral_radius_oracle(a)
+            cases.append((Technology(a), a @ rng.uniform(0.5, 1.5, n)))
+        for t, x in cases:
+            assert float(np.max(np.abs(np.linalg.eigvals(t.a)))) >= 1.0 - 1e-12
+            verdict = check_sustainable(t, x)
+            assert not verdict.sustainable
+            assert verdict.b1 is None and verdict.prices is None
 
     def test_singular_matrix_stabilizes(self, rng):
         for _ in range(20):
@@ -125,6 +139,42 @@ class TestCertificatePrices:
             verdict = check_sustainable(t, x)
             assert verdict.sustainable
             assert verdict.prices.tobytes() == certificate_prices_reference(t.a, verdict.b1).tobytes()
+
+
+class TestCertificateImpliesProductive:
+    """A passing certificate gives max (A b1 / b1) < 1, a bound on rho(A)
+    (Collatz-Wielandt), so every sustainable verdict comes from a productive
+    matrix without a productivity check of its own."""
+
+    @staticmethod
+    def draw(rng, family):
+        n = int(rng.integers(3, 6))
+        if family == "nonsingular":
+            t = random_productive(rng, n, rho=float(rng.uniform(0.3, 1.0 - 1e-6)),
+                                  density=float(rng.uniform(0.3, 1.0)))
+        else:
+            t = make_singular_productive(rng, n)
+        x = t.a @ np.linalg.solve(np.eye(n) - t.a, rng.uniform(0.2, 2.0, n))
+        # every third output is a random positive vector, which may fail
+        return t, x if rng.integers(3) else rng.uniform(0.5, 1.5, n) * float(np.max(x))
+
+    @pytest.mark.parametrize("family", ["nonsingular", "singular", "lp-repaired"])
+    def test_every_passing_certificate_has_a_productive_matrix(self, monkeypatch, family):
+        lp = record_calls(monkeypatch, "sustainability.linprog")
+        rng = np.random.default_rng(30)
+        passed = failed = 0
+        for _ in range(600):   # about one singular draw in a hundred needs the LP
+            t, x = self.draw(rng, family)
+            before = len(lp)
+            verdict = check_sustainable(t, x)
+            failed += not verdict.sustainable
+            if not verdict.sustainable or (family == "lp-repaired" and len(lp) == before):
+                continue
+            passed += 1
+            assert np.max(t.a @ verdict.b1 / verdict.b1) < 1.0
+            assert float(np.max(np.abs(np.linalg.eigvals(t.a)))) < 1.0
+            assert t.productive
+        assert passed > 0 and failed > 0
 
 
 class TestSingularBranch:
