@@ -18,6 +18,7 @@ from .core import (
     POSITIVE_TOL,
     Technology,
     _matrix,
+    _positive_vector,
     _vector,
     is_indecomposable,
     perron_vector,
@@ -243,13 +244,8 @@ def inequality_solution(t: Technology, b) -> np.ndarray:
     a point failing ``z >= 0`` or ``M z <= 1 + FEASIBILITY_TOL`` moves on to
     the next label. NoConvergenceError names the budget when no label is left.
     """
-    b = _vector(b, "supply vector")
-    if b.shape[0] != t.n:
-        raise ValueError("supply vector length does not match sector count")
-    if np.any(b <= 0.0):
-        raise ValueError("supply vector must be strictly positive")
-    if not t.indecomposable:
-        raise DecomposableError("inequality solution requires an indecomposable matrix")
+    b = _positive_vector(b, t.n, "supply vector")
+    t.require_indecomposable("inequality solution")
 
     n = t.n
     m = t.a / b[:, None]

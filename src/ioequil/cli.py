@@ -56,6 +56,7 @@ def tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("table", type=Path)
     common.add_argument("--tol", type=tolerance, default=real_economy.DEFAULT_BALANCE_TOL,
                         help="relative balance tolerance for table validation")
     common.add_argument("--format", choices=("text", "json"), default="text",
@@ -72,27 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", parents=[common],
                              help="productivity, indecomposability and balance checks")
-    p_check.add_argument("table", type=Path)
 
     p_sust = sub.add_parser("sustainable", parents=[common],
                             help="sustainable-development criterion and existing-tax test")
-    p_sust.add_argument("table", type=Path)
     p_sust.add_argument("--tax-bounds", action="store_true", dest="tax_bounds",
                         help="include the taxation bound interval")
 
     p_eq = sub.add_parser("equilibrium", parents=[common],
                           help="minimum-excess equilibrium state, prices and excess level")
-    p_eq.add_argument("table", type=Path)
     p_eq.add_argument("--alpha", type=str, default=None,
                       help="comma list: evaluate the simplex-parametrized solution at this point")
 
     p_tax = sub.add_parser("tax", parents=[common], help="taxation analyses")
-    p_tax.add_argument("table", type=Path)
     p_tax.add_argument("mode", choices=("existing", "best", "bounds", "value-added"))
 
     p_agg = sub.add_parser("aggregate", parents=[common],
                            help="aggregate a fine table through a sector map")
-    p_agg.add_argument("table", type=Path)
     p_agg.add_argument("map", type=Path)
     p_agg.add_argument("--delta-hat", type=str, default=None, dest="delta_hat",
                        help="comma list of relative value-added shares for the price system")
@@ -331,19 +327,13 @@ def main(argv=None) -> int:
         rendered = report.to_json() + "\n" if args.format == "json" else _render_text(report)
         if args.out is not None and args.command != "aggregate":
             Path(args.out).write_text(rendered, encoding="utf-8")
-    except PipelineError as exc:
-        cause = exc.cause
+    except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a PipelineError takes the class of its cause
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, (ParseError, BalanceError, ValueError, OSError)):
+            return EXIT_INPUT
         return EXIT_NUMERICAL if isinstance(cause, NumericalError) else EXIT_NEGATIVE
-    except (ParseError, BalanceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
 
     print(rendered, end="")
     return code

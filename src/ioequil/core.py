@@ -53,6 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DecomposableError,
     DegenerateGeneratorsError,
     HypothesisViolatedError,
     NoConvergenceError,
@@ -73,6 +74,15 @@ def _vector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
+def _positive_vector(x, n: int, name: str) -> np.ndarray:
+    v = _vector(x, name)
+    if v.shape[0] != n:
+        raise ValueError(f"{name} length does not match sector count")
+    if np.any(v <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
     return v
 
 
@@ -116,6 +126,11 @@ class Technology:
     @cached_property
     def indecomposable(self) -> bool:
         return is_indecomposable(self.a)
+
+    def require_indecomposable(self, what: str) -> None:
+        """Raise DecomposableError naming ``what`` unless A is indecomposable."""
+        if not self.indecomposable:
+            raise DecomposableError(f"{what} requires an indecomposable matrix")
 
     @cached_property
     def productive(self) -> bool:
@@ -261,15 +276,14 @@ def spectral_radius(t: Technology | np.ndarray) -> float:
     raises NoConvergenceError naming the bracket.
 
     A decomposable A may have no positive Perron vector, so its bracket need
-    not close; its radius is ``max |np.linalg.eigvals(A)|``. An array is
-    wrapped in a ``Technology``, which validates it.
+    not close; its radius is ``max |np.linalg.eigvals(A)|``. A zero matrix is
+    decomposable and takes this branch, answering 0 (0x0 included). An array
+    is wrapped in a ``Technology``, which validates it.
     """
     t = t if isinstance(t, Technology) else Technology(t)
     a = t.a
-    if not np.any(a):
-        return 0.0
     if not t.indecomposable:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
+        return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
     n = a.shape[0]
     width = 8.0 * n * np.finfo(float).eps
     p = np.full(n, 1.0 / n)

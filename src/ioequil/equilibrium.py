@@ -13,9 +13,8 @@ import numpy as np
 
 from . import qp
 from .balance import support_partition
-from .core import POSITIVE_TOL, Technology, _vector, is_indecomposable
+from .core import POSITIVE_TOL, Technology, _positive_vector, _vector, is_indecomposable
 from .errors import (
-    DecomposableError,
     DecomposableMinorError,
     HypothesisViolatedError,
     ModelError,
@@ -61,11 +60,7 @@ class EquilibriumState:
 
 def min_ratios(t: Technology, b) -> np.ndarray:
     """d_i = min over rows k with a_ki > 0 of b_k / a_ki."""
-    b = _vector(b, "supply vector")
-    if b.shape[0] != t.n:
-        raise ValueError("supply vector length does not match sector count")
-    if np.any(b <= 0.0):
-        raise ValueError("supply vector must be strictly positive")
+    b = _positive_vector(b, t.n, "supply vector")
     positive = t.a > 0.0
     zero = np.flatnonzero(~positive.any(axis=0))
     if zero.size:
@@ -103,13 +98,8 @@ def min_excess_qp(t: Technology, b) -> np.ndarray:
     The active-set result is verified feasible and KKT-certified before
     being returned.
     """
-    b = _vector(b, "supply vector")
-    if b.shape[0] != t.n:
-        raise ValueError("supply vector length does not match sector count")
-    if np.any(b <= 0.0):
-        raise ValueError("supply vector must be strictly positive")
-    if not t.indecomposable:
-        raise DecomposableError("minimum-excess program requires an indecomposable matrix")
+    b = _positive_vector(b, t.n, "supply vector")
+    t.require_indecomposable("minimum-excess program")
     result = qp.solve_min_excess(t, b)
     z = result.z
     if np.min(z) < -1e-12 or float(np.max(t.a @ z - b)) > 1e-9 * max(1.0, float(np.max(b))):

@@ -15,11 +15,12 @@ import numpy as np
 from .core import (
     POSITIVE_TOL,
     Technology,
+    _positive_vector,
     _vector,
     perron_vector,
     pivoted_rank,
 )
-from .errors import DecomposableError, HypothesisViolatedError
+from .errors import HypothesisViolatedError
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,8 @@ def check_sustainable(t: Technology, x) -> SustainabilityVerdict:
     no check. On success the simplex price vector and positive value-added
     margins of the constructive proof are attached.
     """
-    x = _vector(x, "gross output")
-    if x.shape[0] != t.n:
-        raise ValueError("gross output length does not match sector count")
-    if np.any(x <= 0.0):
-        raise ValueError("gross output must be strictly positive")
-    if not t.indecomposable:
-        raise DecomposableError("sustainability test requires an indecomposable matrix")
+    x = _positive_vector(x, t.n, "gross output")
+    t.require_indecomposable("sustainability test")
 
     if t.lu is None:
         b1 = _singular_intermediate(t.a, x)

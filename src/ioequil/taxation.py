@@ -15,7 +15,7 @@ import numpy as np
 
 from .balance import balanced_eigenvector
 from .core import Technology, _vector
-from .errors import DecomposableError, HypothesisViolatedError, ZeroValueAddedError
+from .errors import HypothesisViolatedError, ZeroValueAddedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .real_economy import IOTable
@@ -73,8 +73,7 @@ def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
     column sums and the value-added shares. A decomposable matrix is refused
     before the vectors are range-checked.
     """
-    if not t_value.indecomposable:
-        raise DecomposableError("taxation family requires an indecomposable matrix")
+    t_value.require_indecomposable("taxation family")
     big_x = _vector(big_x, "gross output")
     delta = _vector(delta, "value added")
     if big_x.shape[0] != t_value.n or delta.shape[0] != t_value.n:
@@ -118,8 +117,8 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
     flagged in the diagnostics. A decomposable ``t_value`` is refused first,
     whatever the bounds.
     """
-    if t_value is not None and not t_value.indecomposable:
-        raise DecomposableError("reconstruction requires an indecomposable matrix")
+    if t_value is not None:
+        t_value.require_indecomposable("reconstruction")
     pi = _vector(pi, "taxation vector")
     ratios = _vector(ratios, "value-added ratios")
     if pi.shape != ratios.shape:
@@ -174,8 +173,7 @@ class ValueAddedTaxSystem:
 
 def value_added_tax(t_value: Technology) -> ValueAddedTaxSystem:
     """Taxation system with per-sector value added equal to final product."""
-    if not t_value.indecomposable:
-        raise DecomposableError("value-added taxation requires an indecomposable matrix")
+    t_value.require_indecomposable("value-added taxation")
     s = _column_sums(t_value)
     x0 = balanced_eigenvector(t_value)
     return ValueAddedTaxSystem(pi=1.0 - s, x0=x0, base=(1.0 - s) * x0)

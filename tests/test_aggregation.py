@@ -136,6 +136,16 @@ class TestRelativePrices:
                                 consumption=np.ones(2), delta=np.ones(2))
         assert np.allclose(relative_prices(table, [0.3, 0.8]), [0.3, 0.8])
 
+    @pytest.mark.parametrize("a_bar", [[[1.0]], [[0.5, 0.6], [0.6, 0.5]]],
+                             ids=["rho-1", "rho-1.1"])
+    def test_unproductive_matrix_refused(self, a_bar):
+        from ioequil.aggregation import AggregatedTable
+        n = len(a_bar)
+        table = AggregatedTable(a_bar=np.array(a_bar), big_x=np.ones(n),
+                                consumption=np.ones(n), delta=np.ones(n))
+        with pytest.raises(HypothesisViolatedError, match="^aggregated matrix is not productive$"):
+            relative_prices(table, np.full(n, 0.5))
+
     def test_generic_delta_hat_solves_system(self, rng):
         table = aggregate(FINE3, np.ones(3), np.ones(3), MAP32)
         delta_hat = rng.uniform(0.2, 1.0, 2)

@@ -514,36 +514,69 @@ class TestAggregate:
         assert len(doc["results"]["relative_prices"]) == 2
 
 
-class TestExitCodes:
-    def test_numerical_failure_maps_to_three(self, toy2, monkeypatch):
-        from ioequil import cli
-        from ioequil.errors import NoConvergenceError
+# exit code of each root of the error hierarchy: input, model hypothesis, numerical
+ERROR_ROOTS = {
+    errors.ParseError: 2,
+    errors.BalanceError: 2,
+    errors.HypothesisViolatedError: 1,
+    errors.NumericalError: 3,
+}
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and value.__module__ == errors.__name__]
 
+
+def _raised(cls):
+    """An instance of an error class, built with the arguments its constructor needs."""
+    if cls is errors.NotInConeError:
+        return cls(0)
+    if cls is errors.ZeroValueAddedError:
+        return cls(0, "sector 'agri' has non-positive value added")
+    return cls(f"{cls.__name__} raised")
+
+
+def _root_exit_code(cls) -> int:
+    """The exit code of the one root of ERROR_ROOTS that cls descends from; 1 for ModelError."""
+    return next((code for root, code in ERROR_ROOTS.items() if issubclass(cls, root)), 1)
+
+
+def _exit_code_cases():
+    cases = [pytest.param(_raised(cls), _root_exit_code(cls), id=cls.__name__)
+             for cls in ERROR_CLASSES if cls is not errors.PipelineError]
+    # a PipelineError takes the exit code of its cause
+    cases += [pytest.param(errors.PipelineError("stage", _raised(root)), code,
+                           id=f"PipelineError({root.__name__})")
+              for root, code in ERROR_ROOTS.items()]
+    cases += [pytest.param(ValueError("bad value"), 2, id="ValueError"),
+              pytest.param(OSError("unreadable"), 2, id="OSError")]
+    return cases
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", _exit_code_cases())
+    def test_every_error_class_exit_code(self, capsys, toy2, monkeypatch, exc, code):
         def explode(args):
-            raise NoConvergenceError("iteration cap")
+            raise exc
 
         monkeypatch.setitem(cli._COMMANDS, "check", explode)
-        assert cli.main(["check", str(toy2)]) == 3
+        assert main(["check", str(toy2)]) == code
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
 
-    def test_pipeline_numerical_cause_maps_to_three(self, toy2, monkeypatch):
-        from ioequil import cli
-        from ioequil.errors import PipelineError, SolverStallError
+    @pytest.mark.parametrize("command", [["check"], ["sustainable"]])
+    def test_negative_flow_exits_two(self, capsys, tmp_path, command):
+        # toy2 with agri's delivery to industry at -0.3: refused at every tolerance
+        path = tmp_path / "negative.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace(
+            "agri,0.2,0.3,", "agri,0.2,-0.3,"))
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: flow Z['agri' -> 'industry'] is negative\n")
 
-        def explode(args):
-            raise PipelineError("min-excess-qp", SolverStallError("stalled"))
-
-        monkeypatch.setitem(cli._COMMANDS, "equilibrium", explode)
-        assert cli.main(["equilibrium", str(toy2)]) == 3
-
-    def test_pipeline_analysis_cause_maps_to_one(self, toy2, monkeypatch):
-        from ioequil import cli
-        from ioequil.errors import HypothesisViolatedError, PipelineError
-
-        def explode(args):
-            raise PipelineError("binding-set", HypothesisViolatedError("empty"))
-
-        monkeypatch.setitem(cli._COMMANDS, "equilibrium", explode)
-        assert cli.main(["equilibrium", str(toy2)]) == 1
+    def test_column_imbalance_exits_two(self, capsys, tmp_path):
+        # toy2 with agri's T1 raised to 0.26: its column is off by 0.01
+        path = tmp_path / "column.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace("T1,0.25,", "T1,0.26,"))
+        assert main(["sustainable", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: column balance fails for sector 'agri': sum Z - (X - Delta) = 0.01\n")
 
     def test_nnls_cap_in_the_program_exits_three(self, capsys, monkeypatch):
         # toy3 runs the minimum-excess program from the shifted least-distance
@@ -779,22 +812,11 @@ class TestHypothesisFailures:
         assert capsys.readouterr().err == ""
 
 
-# exit code of each root of the error hierarchy: input, model hypothesis, numerical
-ERROR_ROOTS = {
-    errors.ParseError: 2,
-    errors.BalanceError: 2,
-    errors.HypothesisViolatedError: 1,
-    errors.NumericalError: 3,
-}
-
-
 class TestErrorRoots:
     def test_every_error_descends_from_exactly_one_root(self):
         # ModelError is the common base; PipelineError takes the class of its cause
-        classes = [value for value in vars(errors).values()
-                   if isinstance(value, type) and value.__module__ == errors.__name__]
-        assert len(classes) > len(ERROR_ROOTS)
-        for cls in classes:
+        assert len(ERROR_CLASSES) > len(ERROR_ROOTS)
+        for cls in ERROR_CLASSES:
             if cls in (errors.ModelError, errors.PipelineError):
                 continue
             assert sum(issubclass(cls, root) for root in ERROR_ROOTS) == 1, cls.__name__

@@ -215,9 +215,11 @@ class TestIndecomposableSweeps:
 
 
 class TestProductive:
-    def test_zero_matrix(self):
-        assert is_productive(Technology(np.zeros((3, 3))))
-        assert spectral_radius(np.zeros((3, 3))) == 0.0
+    @pytest.mark.parametrize("n", [0, 1, 3, 400])
+    def test_zero_matrix(self, n):
+        # a zero matrix is decomposable: its radius comes from the eigvals branch
+        assert is_productive(Technology(np.zeros((n, n))))
+        assert spectral_radius(np.zeros((n, n))) == 0.0
 
     def test_unit_spectral_radius(self):
         assert not is_productive(Technology([[1.0]]))
