@@ -95,15 +95,14 @@ class AggregatedTable:
         return Technology(self.a_bar)
 
 
-def _aggregate_raw(fine: Technology, p: np.ndarray, x: np.ndarray,
-                   amap: AggregationMap,
+def _aggregate_raw(fine: Technology, p: np.ndarray, x: np.ndarray, s: np.ndarray,
                    c: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grouped (a_bar, X, C) without any balance validation.
+    """Grouped (a_bar, X, C) under the grouping indicator ``s``, without any
+    balance validation.
 
     ``c`` defaults to the balance x - A x; the scaling laws treat it as
     independent data rescaled alongside x.
     """
-    s = amap.indicator()
     value_output = s @ (p * x)
     flows = s @ ((p[:, None] * fine.a) * x[None, :]) @ s.T
     a_bar = flows / value_output[None, :]
@@ -135,9 +134,10 @@ def aggregate(fine: Technology, p, x, amap: AggregationMap) -> AggregatedTable:
             f"fine final consumption is negative in sector {worst} ({c[worst]:.3e})"
         )
 
-    a_bar, big_x, consumption = _aggregate_raw(fine, p, x, amap)
+    s = amap.indicator()
+    a_bar, big_x, consumption = _aggregate_raw(fine, p, x, s, c)
     delta_fine = p - fine.a.T @ p
-    delta = amap.indicator() @ (delta_fine * x)
+    delta = s @ (delta_fine * x)
 
     vscale = max(1.0, float(np.max(big_x)))
     row_gap = np.max(np.abs(big_x - a_bar @ big_x - consumption))
@@ -174,8 +174,9 @@ def scaling_identity_check(fine: Technology, p, x, amap: AggregationMap,
     x_scaled = x_hat[assign] * x
     c = x - fine.a @ x
     c_scaled = x_hat[assign] * c
-    a_bar, big_x, consumption = _aggregate_raw(fine, p, x, amap, c)
-    a_bar2, big_x2, consumption2 = _aggregate_raw(fine, p_scaled, x_scaled, amap, c_scaled)
+    s = amap.indicator()
+    a_bar, big_x, consumption = _aggregate_raw(fine, p, x, s, c)
+    a_bar2, big_x2, consumption2 = _aggregate_raw(fine, p_scaled, x_scaled, s, c_scaled)
 
     expected_a = (p_hat[:, None] * a_bar) / p_hat[None, :]
     expected_x = p_hat * x_hat * big_x
@@ -212,12 +213,13 @@ def aggregated_value_added_check(fine: Technology, p, x, amap: AggregationMap,
     if p_hat.shape[0] != amap.n:
         raise ValueError("relative price length must match the coarse sector count")
     assign = np.asarray(amap.assignment)
-    a_bar, big_x, _ = _aggregate_raw(fine, p, x, amap)
+    s = amap.indicator()
+    a_bar, big_x, _ = _aggregate_raw(fine, p, x, s)
     delta_hat = p_hat - a_bar.T @ p_hat
 
     p_scaled = p_hat[assign] * p
     fine_margins = p_scaled - fine.a.T @ p_scaled
-    grouped = amap.indicator() @ (fine_margins * x)
+    grouped = s @ (fine_margins * x)
     expected = big_x * delta_hat
     scale = max(1.0, float(np.max(np.abs(expected))))
     return bool(np.max(np.abs(grouped - expected)) <= AGGREGATION_TOL * scale)

@@ -200,7 +200,7 @@ def cmd_tax(args) -> tuple[Report, int]:
     if args.mode == "existing":
         results = {"mode": "existing", "pi0": _vector_list(taxation.real_tax_vector(table))}
     elif args.mode == "best":
-        family = taxation.tax_family(tech, table.big_x, table.delta)
+        family = taxation.tax_family(tech, table.big_x)
         results = {
             "mode": "best",
             "best_pi": _vector_list(family.best_pi),
@@ -208,7 +208,7 @@ def cmd_tax(args) -> tuple[Report, int]:
             "balanced_weights": _vector_list(family.v0),
         }
     elif args.mode == "bounds":
-        pi0 = taxation.real_tax_vector(table)
+        pi0 = real_economy.observed_taxation(table)
         bounds = taxation.tax_bounds(pi0, table.delta / table.big_x, t_value=tech)
         results = {
             "mode": "bounds",

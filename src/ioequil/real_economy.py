@@ -393,6 +393,17 @@ class RealEconomyReport:
     supply: np.ndarray
 
 
+def observed_taxation(table: IOTable) -> np.ndarray:
+    """Observed taxation T1/Delta, refused with the first sector outside [0, 1)."""
+    pi0 = taxation.real_tax_vector(table)
+    outside = np.flatnonzero((pi0 >= 1.0) | (pi0 < 0.0))
+    if outside.size:
+        raise HypothesisViolatedError(
+            f"observed taxation T1/Delta of sector {table.names[outside[0]]!r} must lie in [0, 1)"
+        )
+    return pi0
+
+
 def analyze(table: IOTable) -> RealEconomyReport:
     """Full existing-taxation workflow on a value table.
 
@@ -403,13 +414,7 @@ def analyze(table: IOTable) -> RealEconomyReport:
     the taxation bounds test runs either way. A sector with supply and a
     zero column fails the unit-price test at stage "unit-price-clearing".
     """
-    pi0 = taxation.real_tax_vector(table)
-    outside = np.flatnonzero((pi0 >= 1.0) | (pi0 < 0.0))
-    if outside.size:
-        raise HypothesisViolatedError(
-            f"observed taxation T1/Delta of sector {table.names[outside[0]]!r} must lie in [0, 1)"
-        )
-
+    pi0 = observed_taxation(table)
     tech = table.technology
     big_x = table.big_x
     s = tech.a.sum(axis=0)

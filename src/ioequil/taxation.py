@@ -14,29 +14,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .balance import balanced_eigenvector
-from .core import Technology, _vector
+from .core import Technology, _positive_vector, _vector
 from .errors import HypothesisViolatedError, ZeroValueAddedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .real_economy import IOTable
 
-# Matches the default loader tolerance: statistical tables carry rounding noise.
-COLUMN_SUM_TOL = 1e-6
 
-
-def _column_sums(t_value: Technology, ratios: np.ndarray | None = None) -> np.ndarray:
-    """Column sums s of A, strictly inside (0, 1).
-
-    Given the value-added shares ``ratios`` = Delta / X, s must also equal
-    1 - ratios within COLUMN_SUM_TOL.
-    """
+def _column_sums(t_value: Technology) -> np.ndarray:
+    """Column sums s of A, strictly inside (0, 1). In value units s = 1 - Delta/X,
+    which the loader's ``validate_table`` alone tests, at its tolerance."""
     s = t_value.a.sum(axis=0)
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise HypothesisViolatedError("value-unit column sums must lie strictly inside (0, 1)")
-    if ratios is not None:
-        expected = 1.0 - ratios
-        if float(np.max(np.abs(s - expected))) > COLUMN_SUM_TOL * max(1.0, float(np.max(expected))):
-            raise HypothesisViolatedError("column sums disagree with 1 - Delta/X beyond tolerance")
     return s
 
 
@@ -44,15 +34,13 @@ def _column_sums(t_value: Technology, ratios: np.ndarray | None = None) -> np.nd
 class TaxFamily:
     """One-parameter taxation family pi(c0) = 1 - c0 * factor.
 
-    ``factor_i = (V0_i / X_i) (1 - Delta_i / X_i)`` with V0 the balanced
-    weight vector of the value-unit system; every c0 in (0, c0_max] keeps
-    the given prices in equilibrium, and c0_max drives the least-taxed
-    sector exactly to zero.
+    ``factor_i = (V0_i / X_i) s_i`` with V0 the balanced weight vector and s
+    the column sums of the value-unit A (s = 1 - Delta/X); every c0 in
+    (0, c0_max] keeps the given prices in equilibrium, and c0_max drives the
+    least-taxed sector exactly to zero.
     """
 
     v0: np.ndarray
-    big_x: np.ndarray
-    delta: np.ndarray
     factor: np.ndarray
     c0_max: float
 
@@ -66,28 +54,19 @@ class TaxFamily:
         return 1.0 - self.factor / np.max(self.factor)
 
 
-def tax_family(t_value: Technology, big_x, delta) -> TaxFamily:
+def tax_family(t_value: Technology, big_x) -> TaxFamily:
     """Family of taxation vectors keeping the table's prices in equilibrium.
 
-    Requires the value-unit consistency s_i = 1 - Delta_i / X_i between the
-    column sums and the value-added shares. A decomposable matrix is refused
-    before the vectors are range-checked.
+    The value-added shares come from the column sums of the value-unit A.
+    A decomposable matrix is refused before gross output is checked.
     """
     t_value.require_indecomposable("taxation family")
-    big_x = _vector(big_x, "gross output")
-    delta = _vector(delta, "value added")
-    if big_x.shape[0] != t_value.n or delta.shape[0] != t_value.n:
-        raise ValueError("vector lengths must match the sector count")
-    if np.any(big_x <= 0.0):
-        raise ValueError("gross output must be strictly positive")
-    if np.any(delta >= big_x):
-        raise ValueError("value added must be below gross output")
-    shares = delta / big_x
-    _column_sums(t_value, shares)
+    big_x = _positive_vector(big_x, t_value.n, "gross output")
+    s = _column_sums(t_value)
     v0 = balanced_eigenvector(t_value)
-    factor = (v0 / big_x) * (1.0 - shares)
+    factor = (v0 / big_x) * s
     c0_max = 1.0 / float(np.max(factor))
-    return TaxFamily(v0=v0, big_x=big_x, delta=delta, factor=factor, c0_max=c0_max)
+    return TaxFamily(v0=v0, factor=factor, c0_max=c0_max)
 
 
 @dataclass(frozen=True)
@@ -112,8 +91,9 @@ class TaxBoundsReport:
 def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport:
     """Admissible bound scalars for a taxation vector.
 
-    ``ratios`` holds the value-added shares Delta_i / X_i. Infeasibility is
-    a result, not an error. Sectors taxed at exactly zero are admitted and
+    ``ratios`` holds the value-added shares Delta_i / X_i of the interval;
+    the reconstruction reads s from ``t_value``'s column sums. Infeasibility
+    is a result, not an error. Sectors taxed at exactly zero are admitted and
     flagged in the diagnostics. A decomposable ``t_value`` is refused first,
     whatever the bounds.
     """
@@ -144,7 +124,7 @@ def tax_bounds(pi, ratios, t_value: Technology | None = None) -> TaxBoundsReport
     reconstructed_x = None
     final_y = None
     if t_value is not None:
-        s = _column_sums(t_value, ratios)
+        s = _column_sums(t_value)
         x0 = balanced_eigenvector(t_value)
         reconstructed_x = (s / (1.0 - pi)) * x0
         final_y = reconstructed_x - t_value.a @ reconstructed_x

@@ -192,8 +192,7 @@ def test_criterion_5_taxation_existence():
         a *= rng.uniform(0.2, 0.9, n) / a.sum(axis=0)
         t = Technology(a)
         big_x = rng.uniform(0.5, 3.0, n)
-        delta = (1.0 - a.sum(axis=0)) * big_x
-        family = tax_family(t, big_x, delta)
+        family = tax_family(t, big_x)
         for c0 in np.linspace(family.c0_max / 10.0, family.c0_max, 10):
             pi = family.pi(float(c0))
             # the taxed equations: clearing at unit prices with x = psi
@@ -278,7 +277,7 @@ def test_criterion_8_worked_micro_examples():
     assert abs(point.scale - 1.2) < 1e-10
 
     value_units = Technology(sym.a)
-    family = tax_family(value_units, ones, np.array([0.5, 0.5]))
+    family = tax_family(value_units, ones)
     assert abs(family.c0_max - 4.0) < 1e-10
     for c0 in (0.5, 1.0, 2.5, 4.0):
         assert np.max(np.abs(family.pi(c0) - (1.0 - 0.25 * c0))) < 1e-10

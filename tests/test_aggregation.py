@@ -101,10 +101,11 @@ class TestScalingIdentities:
         from ioequil.aggregation import _aggregate_raw
         p = np.ones(3)
         x = np.ones(3)
-        base, _, _ = _aggregate_raw(FINE3, p, x, MAP32)
+        s = MAP32.indicator()
+        base, _, _ = _aggregate_raw(FINE3, p, x, s)
         p_hat = np.array([2.0, 1.0])
         assign = np.asarray(MAP32.assignment)
-        scaled, _, _ = _aggregate_raw(FINE3, p_hat[assign] * p, x, MAP32)
+        scaled, _, _ = _aggregate_raw(FINE3, p_hat[assign] * p, x, s)
         assert scaled[0, 1] == pytest.approx(2.0 * base[0, 1])
         assert scaled[1, 0] == pytest.approx(base[1, 0] / 2.0)
         assert scaled[0, 0] == pytest.approx(base[0, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -413,7 +414,7 @@ class TestToy3ExactOracles:
         # sums s = (2/5, 2/5, 1/2)), so factor = d s / X = s / 3 and
         # best_pi = 1 - factor / max(factor) = (1/5, 1/5, 0)
         table = load_table(data_path("toy3.csv"))
-        family = tax_family(table.technology, table.big_x, table.delta)
+        family = tax_family(table.technology, table.big_x)
         assert np.max(np.abs(family.v0 - 1.0 / 3.0)) < 1e-13
         assert np.max(np.abs(family.best_pi - [0.2, 0.2, 0.0])) < 1e-13
         code, doc = run_json(capsys, ["tax", str(data_path("toy3.csv")), "best", "--format", "json"])
@@ -443,6 +444,38 @@ class TestTax:
         code, doc = run_json(capsys, ["tax", str(overtaxed), "existing", "--format", "json"])
         assert code == 0
         assert np.allclose(doc["results"]["pi0"], [0.1, 0.9])
+
+    @pytest.mark.parametrize("argv", [["check"], ["tax", "best"], ["tax", "bounds"], ["tax", "value-added"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_the_loader_tolerance_alone_judges_the_column_identity(self, capsys, tmp_path, argv):
+        # agri's Z1 = 0.25001 puts 1 - Delta/X at 1e-5 from its column sum 0.5,
+        # inside --tol 1e-4: a table the loader accepts is taxed, not refused
+        path = tmp_path / "noisy.csv"
+        path.write_text(data_path("toy2.csv").read_text().replace("Z1,0.25,", "Z1,0.25001,"))
+        assert main([argv[0], str(path), *argv[1:], "--tol", "1e-4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [8, 60])
+    def test_best_pi_applied_to_the_table_clears_at_unit_prices(self, capsys, tmp_path, n, density, seed):
+        # Z1 moved by up to 5e-7 X, which the default --tol accepts: 1 - Delta/X
+        # then differs from the column sums s that analyze tests pi against, and
+        # best_pi, read from s, must still pass that test
+        rng = np.random.default_rng([seed, n])
+        table = seeded_table(rng, n, density)
+        table = dataclasses.replace(table, z1=table.z1 + rng.uniform(-5e-7, 5e-7, n) * table.big_x)
+        path = tmp_path / "table.csv"
+        path.write_text(dumps_table(table))
+        code, doc = run_json(capsys, ["tax", str(path), "best", "--format", "json"])
+        assert code == 0
+        delta = table.t1 + table.z1
+        t1 = np.array(doc["results"]["best_pi"]) * delta
+        path.write_text(dumps_table(dataclasses.replace(table, t1=t1, z1=delta - t1)))
+        _, doc = run_json(capsys, ["sustainable", str(path), "--format", "json"])
+        existing = doc["results"]["existing_tax"]
+        assert existing["sustainable_at_unit_prices"] is True
+        assert existing["residual"] <= 1e-12
 
 
 class TestAggregate:
@@ -613,7 +646,6 @@ class TestExitCodes:
     def test_infeasible_program_result_exits_three(self, capsys, monkeypatch, overtaxed):
         # a z the active-set solver returns outside A z <= b is a numerical
         # breakdown, not a model hypothesis that fails
-        import dataclasses
 
         from ioequil import qp
 
@@ -662,7 +694,7 @@ class TestExitCodes:
             "T1,0.5,0.25\nZ1,0.0,0.25\n"
         )
         assert main(["tax", str(path), "bounds"]) == 1
-        assert capsys.readouterr().err == "error: taxation component 0 must lie in [0, 1)\n"
+        assert capsys.readouterr().err == "error: observed taxation T1/Delta of sector 'a' must lie in [0, 1)\n"
 
     @pytest.mark.parametrize("argv", [
         ["equilibrium", "{toy3}", "--alpha", "1,x"],
@@ -741,7 +773,6 @@ SUBSIDISED_CSV = (
     "T1,-0.05,0.25\nZ1,0.55,0.25\n"
 )
 SUBSIDY_OBSERVED = "observed taxation T1/Delta of sector 'agri' must lie in [0, 1)"
-SUBSIDY_BOUNDS = "taxation component 0 must lie in [0, 1)"
 # column sums 1.1, so rho(A) = 1.1 and Delta < 0: no sustainable certificate
 # exists, and the existing-tax analysis refuses the negative value added
 UNPRODUCTIVE_CSV = (
@@ -779,7 +810,7 @@ class TestHypothesisFailures:
             ("subsidised", ["equilibrium"], 1, SUBSIDY_OBSERVED),
             ("subsidised", ["tax", "existing"], 0, None),
             ("subsidised", ["tax", "best"], 0, None),
-            ("subsidised", ["tax", "bounds"], 1, SUBSIDY_BOUNDS),
+            ("subsidised", ["tax", "bounds"], 1, SUBSIDY_OBSERVED),
             ("subsidised", ["tax", "value-added"], 0, None),
             ("unproductive", ["check"], 1, None),
             ("unproductive", ["sustainable"], 1, NEGATIVE_VALUE_ADDED),

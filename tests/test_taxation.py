@@ -31,7 +31,7 @@ def random_value_units(rng, n, density=1.0):
 
 class TestTaxFamily:
     def test_symmetric_example(self):
-        family = tax_family(SYM_VALUE, [1.0, 1.0], [0.5, 0.5])
+        family = tax_family(SYM_VALUE, [1.0, 1.0])
         assert np.allclose(family.v0, [0.5, 0.5], atol=1e-11)
         assert family.c0_max == pytest.approx(4.0, abs=1e-9)
         assert np.allclose(family.pi(2.0), [0.5, 0.5], atol=1e-10)
@@ -40,7 +40,7 @@ class TestTaxFamily:
         assert np.allclose(family.best_pi, [0.0, 0.0], atol=1e-12)
 
     def test_equilibrium_at_interior_c0(self):
-        family = tax_family(SYM_VALUE, [1.0, 1.0], [0.5, 0.5])
+        family = tax_family(SYM_VALUE, [1.0, 1.0])
         # the taxed equations are the clearing equations at unit prices with x = psi
         psi = (1.0 - family.pi(2.0)) * np.array([1.0, 1.0])
         residual = clearing_residual(SYM_VALUE, psi, np.ones(2))
@@ -53,8 +53,7 @@ class TestTaxFamily:
             n = int(rng.integers(2, 6))
             t = random_value_units(rng, n)
             big_x = rng.uniform(0.5, 2.0, n)
-            delta = (1.0 - t.a.sum(axis=0)) * big_x
-            family = tax_family(t, big_x, delta)
+            family = tax_family(t, big_x)
             c0 = float(rng.uniform(0.1, 1.0)) * family.c0_max
             supplied = (1.0 - family.pi(c0)) * big_x
             expected = c0 * family.v0 * t.a.sum(axis=0)
@@ -65,15 +64,26 @@ class TestTaxFamily:
             n = int(rng.integers(2, 7))
             t = random_value_units(rng, n)
             big_x = rng.uniform(0.5, 2.0, n)
-            delta = (1.0 - t.a.sum(axis=0)) * big_x
-            family = tax_family(t, big_x, delta)
+            family = tax_family(t, big_x)
             best = family.best_pi
             assert np.min(best) == 0.0
             assert np.all(best >= 0.0) and np.all(best < 1.0)
 
-    def test_inconsistent_balance_rejected(self):
-        with pytest.raises(HypothesisViolatedError, match=r"column sums disagree with 1 - Delta/X beyond tolerance"):
-            tax_family(SYM_VALUE, [1.0, 1.0], [0.3, 0.3])
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: tax_family(SYM_VALUE, [1.0]), ValueError, "gross output length does not match sector count"),
+    (lambda: tax_family(SYM_VALUE, [1.0, 0.0]), ValueError, "gross output must be strictly positive"),
+    (lambda: tax_family(SYM_VALUE, [1.0, 1.0]).pi(0.0), ValueError, "c0 must lie in (0, "),
+    (lambda: tax_family(SYM_VALUE, [1.0, 1.0]).pi(4.1), ValueError, "c0 must lie in (0, "),
+    (lambda: tax_bounds([0.2, 0.2], [0.5]), ValueError, "pi and ratios must have matching lengths"),
+    (lambda: tax_bounds([0.2, 0.2], [0.5, 1.0]), ValueError,
+     "value-added ratios must lie strictly inside (0, 1)"),
+    (lambda: fit_scale([1.0, 1.0], [0.25]), ValueError, "vectors must have matching lengths"),
+], ids=["family X length", "family X positive", "c0 zero", "c0 above c0_max", "bounds lengths",
+        "bounds ratios", "fit_scale lengths"])
+def test_taxation_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}"):
+        call()
 
 
 class TestTaxBounds:
@@ -85,10 +95,12 @@ class TestTaxBounds:
         assert hi == pytest.approx(1.6)
         assert report.witness_beta == pytest.approx(1.2)
 
-    def test_inconsistent_technology_rejected_as_the_family_rejects_it(self):
-        # the column sums 0.5 of SYM_VALUE are not 1 - 0.3
-        with pytest.raises(HypothesisViolatedError, match=r"^column sums disagree with 1 - Delta/X beyond tolerance$"):
-            tax_bounds([0.2, 0.2], [0.3, 0.3], t_value=SYM_VALUE)
+    def test_interval_reads_the_ratios_and_reconstruction_the_column_sums(self):
+        # the ratios 0.3 set the interval; SYM_VALUE's column sums 0.5 and
+        # balanced weights 0.5 set X = (s / (1 - pi)) x0 = 0.3125
+        report = tax_bounds([0.2, 0.2], [0.3, 0.3], t_value=SYM_VALUE)
+        assert report.beta_interval == pytest.approx((0.8, 0.8 / 0.7))
+        assert np.allclose(report.reconstructed_x, [0.3125, 0.3125], atol=1e-12)
 
     def test_infeasible_example(self):
         report = tax_bounds([0.1, 0.9], [0.5, 0.5])
